@@ -25,7 +25,7 @@ pub use mcast_gen::waxman::WaxmanParams;
 
 pub use mcast_tree::affinity::{AffinityConfig, AffinitySampler, RootedTree};
 pub use mcast_tree::dynamics::{
-    simulate_churn, ChurnConfig, ChurnOutcome, LifetimeShape, MemberTree,
+    try_simulate_churn, ChurnConfig, ChurnOutcome, LifetimeShape, MemberTree,
 };
 pub use mcast_tree::measure::{MeasureConfig, SourceMeasurer};
 pub use mcast_tree::policy::TieBreak;

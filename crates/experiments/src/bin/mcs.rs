@@ -24,10 +24,6 @@
 //!                    (`huge` swaps in the million-node topology tier)
 //!   --seed <u64>     root seed (default 1999)
 //!   --threads <n>    worker threads, at least 1 (default: all cores)
-//!   --bfs-width <w>  lane cap for the bit-parallel BFS kernel: 64, 256,
-//!                    512 or `auto` (default 512). Bit-identical results
-//!                    at every width; narrower caps trade throughput for
-//!                    per-sweep memory
 //!   --out <dir>      also write <dir>/<id>.{json,csv,dat,svg} artefacts
 //!   --metrics <file> write a JSON observability dump (spans, counters,
 //!                    histograms, run metadata) after the run
@@ -123,7 +119,7 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: mcs [--paper|--fast|--scale fast|paper|huge] [--seed N] [--threads N] [--bfs-width 64|256|512|auto] [--out DIR] [--metrics FILE] [--trace DIR [--trace-alloc]] [--cache-dir DIR] [--resume] [--verbose|--quiet] <table1|fig1..fig9|ablate-*|churn|storm|all|list>...\n       mcs [OPTIONS] suite [--only ID,ID,...] [--keep-going|--fail-fast] [--max-retries N]\n       mcs [OPTIONS] measure <edge-list-file>\n       mcs topo <pack|unpack|verify> <files...>\n       mcs --cache-dir DIR cache <ls|verify|gc [--dry-run]>\n       mcs serve [--addr H:P|--port N] [--cache-dir DIR [--resume]] [--workers N] [--queue-cap N] [--quota-rate R] [--quota-burst B] [--topo-dir DIR] [--request-log FILE] [--addr-file FILE] [--threads N] [--max-body BYTES] [-v]\n       mcs obs <report|flame|chrome> <trace.jsonl> [--json] [--top N]\n       mcs obs diff <base> <candidate> [--budget FILE]"
+    "usage: mcs [--paper|--fast|--scale fast|paper|huge] [--seed N] [--threads N] [--out DIR] [--metrics FILE] [--trace DIR [--trace-alloc]] [--cache-dir DIR] [--resume] [--verbose|--quiet] <table1|fig1..fig9|ablate-*|churn|storm|all|list>...\n       mcs [OPTIONS] suite [--only ID,ID,...] [--keep-going|--fail-fast] [--max-retries N]\n       mcs [OPTIONS] measure <edge-list-file>\n       mcs topo <pack|unpack|verify> <files...>\n       mcs --cache-dir DIR cache <ls|verify|gc [--dry-run]>\n       mcs serve [--addr H:P|--port N] [--cache-dir DIR [--resume]] [--workers N] [--queue-cap N] [--quota-rate R] [--quota-burst B] [--topo-dir DIR] [--request-log FILE] [--addr-file FILE] [--threads N] [--max-body BYTES] [-v]\n       mcs obs <report|flame|chrome> <trace.jsonl> [--json] [--top N]\n       mcs obs diff <base> <candidate> [--budget FILE]"
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -185,24 +181,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 trace = Some(PathBuf::from(v));
             }
             "--trace-alloc" => trace_alloc = true,
-            "--bfs-width" => {
-                // Process-wide lane cap for the bit-parallel BFS kernel.
-                // Results are bit-identical at every width (the kernel is
-                // level-synchronous), so this is a performance/footprint
-                // knob, not a science knob — which is why it lives outside
-                // RunConfig and never reaches artefacts or cache keys.
-                let v = it.next().ok_or("--bfs-width needs 64, 256, 512 or auto")?;
-                let limit = match v.as_str() {
-                    "auto" => None,
-                    "64" => Some(64),
-                    "256" => Some(256),
-                    "512" => Some(512),
-                    other => {
-                        return Err(format!("bad --bfs-width `{other}` (want 64, 256, 512 or auto)"))
-                    }
-                };
-                mcast_topology::batch::set_lane_limit(limit);
-            }
             "--cache-dir" => {
                 let v = it.next().ok_or("--cache-dir needs a directory")?;
                 cache_dir = Some(PathBuf::from(v));

@@ -164,7 +164,7 @@ pub fn run_norm(cfg: &RunConfig) -> Report {
         vec![Default::default(); ms.len()];
     for s in 0..n_sources {
         let source = pick_source(graph, cfg.sub_seed("ablate-norm"), s);
-        let mut measurer = SourceMeasurer::new(graph, source);
+        let mut measurer = SourceMeasurer::new(graph, source, None);
         let ubar = measurer.mean_distance();
         let mut sizer = DeliverySizer::from_graph(graph, source);
         let pool = ReceiverPool::AllExceptSource {

@@ -18,8 +18,8 @@ use mcast_store::{CacheHandle, Key, KeyBuilder, ObjectKind};
 use mcast_topology::batch::{max_lanes, BatchBfs};
 use mcast_topology::{Graph, NodeId};
 use mcast_tree::measure::{
-    batched_mean_distances, measure_group_with_mean, merge_indexed, CurvePoint,
-    MeasureConfig, MeasureEngine, SampleKind, SourcePlan,
+    batched_mean_distances, measure_group, merge_indexed, CurvePoint, MeasureConfig, MeasureEngine,
+    SampleKind, SourcePlan,
 };
 use mcast_tree::RunningStats;
 use std::collections::HashMap;
@@ -480,7 +480,7 @@ fn try_measure_curve(
             crate::fault::hit_group(gi);
             let group = &plan.groups()[gi];
             let mean = means.as_ref().map(|m| m[k]);
-            let out = measure_group_with_mean(engine, group, xs, mcfg, kind, mean);
+            let out = measure_group(engine, group, xs, mcfg, kind, mean);
             if let Some(writer) = ckpt {
                 let record = GroupRecord {
                     entries: out
@@ -797,7 +797,7 @@ pub fn log_grid(max: usize, per_decade: usize) -> Vec<usize> {
 pub(crate) mod tests {
     use super::*;
     use mcast_topology::graph::from_edges;
-    use mcast_tree::measure::{lhat_curve, measure_group, ratio_curve};
+    use mcast_tree::measure::{lhat_curve, ratio_curve};
 
     fn binary_tree(depth: u32) -> Graph {
         let n = (1u32 << (depth + 1)) - 1;
@@ -1008,7 +1008,8 @@ pub(crate) mod tests {
                 assert!(survivors >= 1, "test needs at least one finished group");
                 let mut engine = MeasureEngine::new(&g);
                 for group in &plan.groups()[..survivors] {
-                    let out = measure_group(&mut engine, group, &xs, &mcfg, SampleKind::Ratio);
+                    let out =
+                        measure_group(&mut engine, group, &xs, &mcfg, SampleKind::Ratio, None);
                     writer
                         .append(&GroupRecord {
                             entries: out

@@ -201,14 +201,6 @@ fn run_inner(id: &str, cfg: &RunConfig) -> Option<Report> {
     })
 }
 
-/// Run every experiment in paper order.
-pub fn run_all(cfg: &RunConfig) -> Vec<Report> {
-    EXPERIMENT_IDS
-        .iter()
-        .map(|id| run(id, cfg).expect("registered id"))
-        .collect()
-}
-
 /// A request the suite registry cannot satisfy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SuiteError {

@@ -142,8 +142,8 @@ static LANE_LIMIT: AtomicUsize = AtomicUsize::new(MAX_LANES);
 static DIRECTION_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// The lane cap batching call sites should chunk sources by. Defaults to
-/// [`MAX_LANES`]; `mcs --bfs-width` narrows it process-wide (results are
-/// bit-identical at every width, only the sweep shape changes).
+/// [`MAX_LANES`]; [`set_lane_limit`] narrows it process-wide (results
+/// are bit-identical at every width, only the sweep shape changes).
 pub fn max_lanes() -> usize {
     LANE_LIMIT.load(Ordering::Relaxed)
 }

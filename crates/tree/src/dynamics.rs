@@ -301,9 +301,9 @@ impl std::error::Error for ChurnError {}
 /// Run the churn process on `(graph, source)` — an event-driven M/G/∞
 /// simulation with per-member departure times.
 ///
-/// Fallible twin of [`simulate_churn`]: a desynchronised event calendar
-/// surfaces as a typed [`ChurnError`] instead of a panic, so runner
-/// paths can fold it into their per-group failure reporting.
+/// A desynchronised event calendar surfaces as a typed [`ChurnError`]
+/// instead of a panic, so runner paths can fold it into their per-group
+/// failure reporting.
 ///
 /// # Panics
 /// Panics if the rates are not positive or the graph has fewer than two
@@ -385,20 +385,6 @@ pub fn try_simulate_churn(
         prunes,
         link_samples,
     })
-}
-
-/// Run the churn process on `(graph, source)` — the infallible wrapper
-/// around [`try_simulate_churn`] kept for callers with no error channel.
-///
-/// # Panics
-/// Panics if the rates are not positive, the graph has fewer than two
-/// nodes, or (never observed in practice) the event calendar desyncs —
-/// see [`ChurnError`].
-pub fn simulate_churn(graph: &Graph, source: NodeId, cfg: &ChurnConfig) -> ChurnOutcome {
-    match try_simulate_churn(graph, source, cfg) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]
@@ -514,20 +500,6 @@ mod tests {
         assert!(text.contains("event 41") && text.contains("desync"), "{text}");
         let d = ChurnError::DuplicateSession { session: 9, now: 0.0 };
         assert!(d.to_string().contains("session 9"), "{d}");
-        // try_simulate_churn returns the same numbers as the wrapper.
-        let g = binary_tree(4);
-        let cfg = ChurnConfig {
-            arrival_rate: 2.0,
-            mean_lifetime: 1.0,
-            lifetime_shape: LifetimeShape::Exponential,
-            warmup_events: 100,
-            sample_events: 2_000,
-            seed: 5,
-        };
-        let a = try_simulate_churn(&g, 0, &cfg).expect("calendar stays in sync");
-        let b = simulate_churn(&g, 0, &cfg);
-        assert_eq!(a.mean_links.to_bits(), b.mean_links.to_bits());
-        assert_eq!((a.grafts, a.prunes), (b.grafts, b.prunes));
     }
 
     #[test]
@@ -553,7 +525,7 @@ mod tests {
             sample_events: 30_000,
             seed: 42,
         };
-        let out = simulate_churn(&g, 0, &cfg);
+        let out = try_simulate_churn(&g, 0, &cfg).expect("calendar stays in sync");
         let expect = cfg.mean_group_size();
         assert!(
             (out.mean_members - expect).abs() / expect < 0.08,
@@ -575,7 +547,7 @@ mod tests {
             sample_events: 40_000,
             seed: 7,
         };
-        let churn = simulate_churn(&g, 0, &cfg);
+        let churn = try_simulate_churn(&g, 0, &cfg).expect("calendar stays in sync");
 
         let mut sizer = DeliverySizer::from_graph(&g, 0);
         let pool = ReceiverPool::AllExceptSource {
@@ -626,7 +598,7 @@ mod tests {
             sample_events: 20_000,
             seed: 3,
         };
-        let out = simulate_churn(&g, 0, &cfg);
+        let out = try_simulate_churn(&g, 0, &cfg).expect("calendar stays in sync");
         let ratio = out.grafts as f64 / out.prunes as f64;
         assert!((ratio - 1.0).abs() < 0.1, "grafts/prunes {ratio}");
         assert!(out.grafts > 1_000, "some churn happened");
@@ -640,7 +612,7 @@ mod tests {
         // lifetimes with the same mean must agree.
         let g = binary_tree(6);
         let run = |shape: LifetimeShape, seed: u64| {
-            simulate_churn(
+            try_simulate_churn(
                 &g,
                 0,
                 &ChurnConfig {
@@ -652,6 +624,7 @@ mod tests {
                     seed,
                 },
             )
+            .expect("calendar stays in sync")
         };
         let exp = run(LifetimeShape::Exponential, 1);
         let pareto = run(LifetimeShape::Pareto { alpha: 2.5 }, 2);
@@ -695,7 +668,7 @@ mod tests {
     #[should_panic]
     fn zero_rate_rejected() {
         let g = binary_tree(2);
-        simulate_churn(
+        let _ = try_simulate_churn(
             &g,
             0,
             &ChurnConfig {

@@ -93,40 +93,27 @@ pub struct SourceMeasurer {
 impl SourceMeasurer {
     /// Measurer whose receivers range over every node except `source`
     /// (the paper's general-network model).
-    pub fn new(graph: &Graph, source: NodeId) -> Self {
+    ///
+    /// `mean_dist` is `ū` when the caller already has it; `None` scans it
+    /// from the sizer's distance array. A supplied value must equal the
+    /// scan's result bit-for-bit — [`batched_mean_distances`] guarantees
+    /// exactly that.
+    pub fn new(graph: &Graph, source: NodeId, mean_dist: Option<f64>) -> Self {
         let pool = ReceiverPool::AllExceptSource {
             nodes: graph.node_count(),
             source,
         };
-        Self::with_pool(graph, source, pool)
+        Self::build(graph, source, pool, mean_dist)
     }
 
     /// Measurer with an explicit receiver pool (e.g. k-ary tree leaves).
     pub fn with_pool(graph: &Graph, source: NodeId, pool: ReceiverPool) -> Self {
-        let sizer = DeliverySizer::from_graph(graph, source);
-        let mean_dist = mean_pool_distance(&sizer, &pool);
-        Self {
-            sizer,
-            pool,
-            mean_dist,
-            buf: Vec::new(),
-            dedup: DedupMarks::new(),
-            samples: 0,
-            sources: 1,
-        }
+        Self::build(graph, source, pool, None)
     }
 
-    /// [`SourceMeasurer::new`] with `ū` supplied by the caller instead of
-    /// scanned from the sizer's distance array, for the general-network
-    /// (all-except-source) pool. The caller promises `mean_dist` equals
-    /// the scan's result bit-for-bit — [`batched_mean_distances`]
-    /// guarantees exactly that.
-    pub fn new_precomputed(graph: &Graph, source: NodeId, mean_dist: f64) -> Self {
-        let pool = ReceiverPool::AllExceptSource {
-            nodes: graph.node_count(),
-            source,
-        };
+    fn build(graph: &Graph, source: NodeId, pool: ReceiverPool, mean_dist: Option<f64>) -> Self {
         let sizer = DeliverySizer::from_graph(graph, source);
+        let mean_dist = mean_dist.unwrap_or_else(|| mean_pool_distance(&sizer, &pool));
         Self {
             sizer,
             pool,
@@ -141,34 +128,24 @@ impl SourceMeasurer {
     /// Re-target this measurer at a new source without allocating: the
     /// sizer's parent/dist/mark buffers are refilled in place through
     /// `bfs` ([`DeliverySizer::rebind`]), the receiver pool follows the
-    /// source, `ū` is recomputed, and the receiver/dedup scratch buffers
-    /// carry over. Sample/source tallies keep accumulating and flush once
-    /// on drop.
+    /// source, `ū` is taken from `mean_dist` or, when `None`, recomputed
+    /// (see [`Self::new`]), and the receiver/dedup scratch buffers carry
+    /// over. Sample/source tallies keep accumulating and flush once on
+    /// drop.
     ///
     /// An [`ReceiverPool::AllExceptSource`] pool tracks the new source;
-    /// explicit/range pools (fixed site sets) are kept as-is.
+    /// explicit/range pools (fixed site sets) are kept as-is. A supplied
+    /// `mean_dist` is only meaningful for the all-except-source pool,
+    /// whose `ū` follows the source.
     ///
     /// # Panics
     /// Panics if `bfs` belongs to a graph of a different node count.
-    pub fn reuse(&mut self, bfs: &mut Bfs<'_>, source: NodeId) {
+    pub fn reuse(&mut self, bfs: &mut Bfs<'_>, source: NodeId, mean_dist: Option<f64>) {
         self.sizer.rebind(bfs, source);
         if let ReceiverPool::AllExceptSource { source: s, .. } = &mut self.pool {
             *s = source;
         }
-        self.mean_dist = mean_pool_distance(&self.sizer, &self.pool);
-        self.sources += 1;
-    }
-
-    /// [`SourceMeasurer::reuse`] with the new source's `ū` supplied by the
-    /// caller (see [`Self::new_precomputed`]); skips the O(pool) distance
-    /// scan. Only meaningful for the all-except-source pool, whose `ū`
-    /// follows the source.
-    pub fn reuse_precomputed(&mut self, bfs: &mut Bfs<'_>, source: NodeId, mean_dist: f64) {
-        self.sizer.rebind(bfs, source);
-        if let ReceiverPool::AllExceptSource { source: s, .. } = &mut self.pool {
-            *s = source;
-        }
-        self.mean_dist = mean_dist;
+        self.mean_dist = mean_dist.unwrap_or_else(|| mean_pool_distance(&self.sizer, &self.pool));
         self.sources += 1;
     }
 
@@ -412,33 +389,16 @@ impl<'g> MeasureEngine<'g> {
 
     /// Measurer rooted at `source` (general-network receiver pool),
     /// running a BFS only if the engine is not already bound to it.
-    pub fn bind(&mut self, source: NodeId) -> &mut SourceMeasurer {
+    /// `mean_dist` is the source's `ū` when the caller has it from a
+    /// batched pre-sweep ([`batched_mean_distances`]), which skips the
+    /// per-source distance scan; caching behaviour is the same either way.
+    pub fn bind(&mut self, source: NodeId, mean_dist: Option<f64>) -> &mut SourceMeasurer {
         let hit = self.measurer.as_ref().is_some_and(|m| m.source() == source);
         if !hit {
             self.rebinds += 1;
             match &mut self.measurer {
-                Some(m) => m.reuse(&mut self.bfs, source),
-                None => self.measurer = Some(SourceMeasurer::new(self.graph, source)),
-            }
-        }
-        self.measurer.as_mut().expect("measurer bound")
-    }
-
-    /// [`Self::bind`] with the source's `ū` supplied by the caller (from a
-    /// batched pre-sweep, see [`batched_mean_distances`]); caching
-    /// behaviour is identical, only the per-source distance scan is
-    /// skipped.
-    pub fn bind_precomputed(&mut self, source: NodeId, mean_dist: f64) -> &mut SourceMeasurer {
-        let hit = self.measurer.as_ref().is_some_and(|m| m.source() == source);
-        if !hit {
-            self.rebinds += 1;
-            match &mut self.measurer {
-                Some(m) => m.reuse_precomputed(&mut self.bfs, source, mean_dist),
-                None => {
-                    self.measurer = Some(SourceMeasurer::new_precomputed(
-                        self.graph, source, mean_dist,
-                    ))
-                }
+                Some(m) => m.reuse(&mut self.bfs, source, mean_dist),
+                None => self.measurer = Some(SourceMeasurer::new(self.graph, source, mean_dist)),
             }
         }
         self.measurer.as_mut().expect("measurer bound")
@@ -456,20 +416,11 @@ impl<'g> MeasureEngine<'g> {
 /// one-measurer-per-index schedule produces, since each index keeps its
 /// own [`source_rng`] stream and degenerate samples are skipped
 /// deterministically (the RNG advances regardless).
+///
+/// `mean_dist` is the group's `ū` when a batched sweep
+/// ([`batched_mean_distances`]) has precomputed it; `None` falls back to
+/// the engine's own per-source scan. Results are bit-identical either way.
 pub fn measure_group(
-    engine: &mut MeasureEngine<'_>,
-    group: &SourceGroup,
-    xs: &[usize],
-    cfg: &MeasureConfig,
-    kind: SampleKind,
-) -> Vec<(usize, Vec<RunningStats>)> {
-    measure_group_with_mean(engine, group, xs, cfg, kind, None)
-}
-
-/// [`measure_group`] with the group's `ū` optionally precomputed by a
-/// batched sweep ([`batched_mean_distances`]); `None` falls back to the
-/// engine's own per-source scan. Results are bit-identical either way.
-pub fn measure_group_with_mean(
     engine: &mut MeasureEngine<'_>,
     group: &SourceGroup,
     xs: &[usize],
@@ -479,10 +430,7 @@ pub fn measure_group_with_mean(
 ) -> Vec<(usize, Vec<RunningStats>)> {
     let mut out = Vec::with_capacity(group.indices.len());
     for (k, &index) in group.indices.iter().enumerate() {
-        let measurer = match mean_dist {
-            Some(u) => engine.bind_precomputed(group.node, u),
-            None => engine.bind(group.node),
-        };
+        let measurer = engine.bind(group.node, mean_dist);
         if k > 0 {
             // Cache hit for a *different* source index: the paper drew
             // this node again, so it counts as another measured source.
@@ -522,7 +470,7 @@ fn sequential_curve(
     let mut per_index: Vec<Option<Vec<RunningStats>>> = vec![None; plan.total()];
     let mut engine = MeasureEngine::new(graph);
     for group in plan.groups() {
-        for (index, stats) in measure_group(&mut engine, group, xs, cfg, kind) {
+        for (index, stats) in measure_group(&mut engine, group, xs, cfg, kind, None) {
             per_index[index] = Some(stats);
         }
     }
@@ -569,7 +517,7 @@ mod tests {
     #[test]
     fn single_receiver_ratio_is_one() {
         let g = binary_tree(4);
-        let mut m = SourceMeasurer::new(&g, 0);
+        let mut m = SourceMeasurer::new(&g, 0, None);
         let mut rng = source_rng(1, 0);
         for _ in 0..50 {
             let r = m.ratio_sample(1, &mut rng);
@@ -580,7 +528,7 @@ mod tests {
     #[test]
     fn normalized_single_receiver_is_one_on_average() {
         let g = binary_tree(5);
-        let mut m = SourceMeasurer::new(&g, 0);
+        let mut m = SourceMeasurer::new(&g, 0, None);
         let mut rng = source_rng(2, 0);
         let mut stats = RunningStats::new();
         for _ in 0..4000 {
@@ -715,13 +663,13 @@ mod tests {
         let plan = SourcePlan::new(&g, &cfg);
         let mut engine = MeasureEngine::new(&g);
         for group in plan.groups() {
-            let _ = measure_group(&mut engine, group, &[2, 5], &cfg, SampleKind::Ratio);
+            let _ = measure_group(&mut engine, group, &[2, 5], &cfg, SampleKind::Ratio, None);
         }
         assert_eq!(engine.rebinds(), plan.distinct() as u64);
         // Re-binding the last node again is a cache hit.
         let last = plan.groups().last().unwrap().node;
         let before = engine.rebinds();
-        let _ = engine.bind(last);
+        let _ = engine.bind(last, None);
         assert_eq!(engine.rebinds(), before);
     }
 
@@ -741,7 +689,7 @@ mod tests {
             let mut per_index = Vec::with_capacity(cfg.sources);
             for index in 0..cfg.sources {
                 let source = pick_source(&g, cfg.seed, index);
-                let mut measurer = SourceMeasurer::new(&g, source);
+                let mut measurer = SourceMeasurer::new(&g, source, None);
                 let mut rng = source_rng(cfg.seed, index);
                 let mut per_x = Vec::with_capacity(xs.len());
                 for &x in &xs {
@@ -773,10 +721,10 @@ mod tests {
     fn reuse_matches_a_fresh_measurer() {
         let g = binary_tree(5);
         let mut bfs = Bfs::new(&g);
-        let mut reused = SourceMeasurer::new(&g, 0);
+        let mut reused = SourceMeasurer::new(&g, 0, None);
         for source in [9u32, 30, 0, 9] {
-            reused.reuse(&mut bfs, source);
-            let mut fresh = SourceMeasurer::new(&g, source);
+            reused.reuse(&mut bfs, source, None);
+            let mut fresh = SourceMeasurer::new(&g, source, None);
             assert_eq!(reused.source(), source);
             assert_eq!(
                 reused.mean_distance().to_bits(),
@@ -807,7 +755,7 @@ mod tests {
         let means = batched_mean_distances(&mut batch, &nodes);
         assert_eq!(means.len(), 70);
         for (&v, &u) in nodes.iter().zip(&means) {
-            let fresh = SourceMeasurer::new(&g, v);
+            let fresh = SourceMeasurer::new(&g, v, None);
             assert_eq!(fresh.mean_distance().to_bits(), u.to_bits(), "node {v}");
         }
     }
@@ -829,9 +777,8 @@ mod tests {
             let mut scan_engine = MeasureEngine::new(&g);
             let mut pre_engine = MeasureEngine::new(&g);
             for (gi, group) in plan.groups().iter().enumerate() {
-                let a = measure_group(&mut scan_engine, group, &xs, &cfg, kind);
-                let b =
-                    measure_group_with_mean(&mut pre_engine, group, &xs, &cfg, kind, Some(means[gi]));
+                let a = measure_group(&mut scan_engine, group, &xs, &cfg, kind, None);
+                let b = measure_group(&mut pre_engine, group, &xs, &cfg, kind, Some(means[gi]));
                 for ((ia, pa), (ib, pb)) in a.iter().zip(&b) {
                     assert_eq!(ia, ib);
                     for (sa, sb) in pa.iter().zip(pb) {
@@ -851,7 +798,7 @@ mod tests {
         // ū = 0. The try-samplers must skip (the old path emitted NaN in
         // release builds), and the RNG must advance as if they hadn't.
         let g = from_edges(4, &[(1, 2), (2, 3)]);
-        let mut m = SourceMeasurer::new(&g, 0);
+        let mut m = SourceMeasurer::new(&g, 0, None);
         let mut rng = source_rng(23, 0);
         assert_eq!(m.try_ratio_sample(2, &mut rng), None);
         assert_eq!(m.try_normalized_tree_sample(2, &mut rng), None);
@@ -880,7 +827,7 @@ mod tests {
     #[should_panic(expected = "no sampled receiver is reachable")]
     fn ratio_sample_panics_deterministically_when_degenerate() {
         let g = from_edges(3, &[(1, 2)]);
-        let mut m = SourceMeasurer::new(&g, 0);
+        let mut m = SourceMeasurer::new(&g, 0, None);
         let mut rng = source_rng(29, 0);
         let _ = m.ratio_sample(1, &mut rng);
     }

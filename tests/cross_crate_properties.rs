@@ -170,7 +170,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // L ≥ max distance and Σdist ≤ m·max ⇒ ratio = L·m/Σdist ≥ 1.
-        let mut measurer = SourceMeasurer::new(&graph, 0);
+        let mut measurer = SourceMeasurer::new(&graph, 0, None);
         let mut rng = StdRng::seed_from_u64(seed);
         let m = 3.min(graph.node_count() - 1);
         let ratio = measurer.ratio_sample(m, &mut rng);

@@ -24,7 +24,7 @@ fn simulate_leaves(k: u32, depth: u32, n: usize, trials: usize, seed: u64) -> Ru
 fn simulate_all_sites(k: u32, depth: u32, n: usize, trials: usize, seed: u64) -> RunningStats {
     let tree = KaryTree::new(k, depth).unwrap();
     let graph = tree.graph();
-    let mut measurer = SourceMeasurer::new(graph, tree.root());
+    let mut measurer = SourceMeasurer::new(graph, tree.root(), None);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = RunningStats::new();
     for _ in 0..trials {
