@@ -230,11 +230,18 @@ pub enum FlightRole {
     Memoized(Arc<Outcome>),
 }
 
-/// Single-flight table keyed by the request's cache key.
+/// Single-flight table keyed by the request's cache key. One mutex
+/// guards both maps, so retiring a flight and memoizing its outcome is
+/// one step: no caller can find the key in neither and lead again.
 pub struct Flights {
-    inflight: Mutex<HashMap<String, Arc<Flight>>>,
-    memo: Mutex<HashMap<String, Arc<Outcome>>>,
+    state: Mutex<FlightState>,
     memo_cap: usize,
+}
+
+#[derive(Default)]
+struct FlightState {
+    inflight: HashMap<String, Arc<Flight>>,
+    memo: HashMap<String, Arc<Outcome>>,
 }
 
 impl Flights {
@@ -243,27 +250,26 @@ impl Flights {
     /// decode + re-render for hot keys).
     pub fn new(memo_cap: usize) -> Self {
         Self {
-            inflight: Mutex::new(HashMap::new()),
-            memo: Mutex::new(HashMap::new()),
+            state: Mutex::new(FlightState::default()),
             memo_cap,
         }
     }
 
     /// Join the flight for `key`.
     pub fn join(&self, key: &str) -> FlightRole {
-        if let Some(hit) = self.memo.lock().expect("memo mutex poisoned").get(key) {
-            return FlightRole::Memoized(Arc::clone(hit));
-        }
         let flight = {
-            let mut inflight = self.inflight.lock().expect("flight mutex poisoned");
-            match inflight.get(key) {
+            let mut state = self.state.lock().expect("flight mutex poisoned");
+            if let Some(hit) = state.memo.get(key) {
+                return FlightRole::Memoized(Arc::clone(hit));
+            }
+            match state.inflight.get(key) {
                 Some(flight) => Arc::clone(flight),
                 None => {
                     let flight = Arc::new(Flight {
                         slot: Mutex::new(None),
                         done: Condvar::new(),
                     });
-                    inflight.insert(key.to_string(), Arc::clone(&flight));
+                    state.inflight.insert(key.to_string(), flight);
                     return FlightRole::Leader;
                 }
             }
@@ -276,34 +282,34 @@ impl Flights {
         FlightRole::Follower(Arc::clone(slot.as_ref().expect("slot filled above")))
     }
 
-    /// Leader hands in the outcome: wakes all followers, retires the
-    /// flight, and memoizes successes.
+    /// Leader hands in the outcome: retires the flight and memoizes a
+    /// success in one critical section, then wakes all followers.
     pub fn complete(&self, key: &str, outcome: Arc<Outcome>) {
-        let flight = self
-            .inflight
-            .lock()
-            .expect("flight mutex poisoned")
-            .remove(key);
-        if let Some(flight) = flight {
-            let mut slot = flight.slot.lock().expect("flight slot poisoned");
-            *slot = Some(Arc::clone(&outcome));
-            drop(slot);
-            flight.done.notify_all();
-        }
-        if !outcome.is_error {
-            let mut memo = self.memo.lock().expect("memo mutex poisoned");
-            if memo.len() >= self.memo_cap {
-                // Simple bound: drop everything rather than track LRU —
-                // the disk cache refills any evicted key on next miss.
-                memo.clear();
+        let flight = {
+            let mut state = self.state.lock().expect("flight mutex poisoned");
+            if !outcome.is_error {
+                if state.memo.len() >= self.memo_cap {
+                    // Simple bound: drop everything rather than track LRU —
+                    // the disk cache refills any evicted key on next miss.
+                    state.memo.clear();
+                }
+                state.memo.insert(key.to_string(), Arc::clone(&outcome));
             }
-            memo.insert(key.to_string(), outcome);
+            state.inflight.remove(key)
+        };
+        if let Some(flight) = flight {
+            *flight.slot.lock().expect("flight slot poisoned") = Some(outcome);
+            flight.done.notify_all();
         }
     }
 
     /// Number of keys currently in flight.
     pub fn inflight_len(&self) -> usize {
-        self.inflight.lock().expect("flight mutex poisoned").len()
+        self.state
+            .lock()
+            .expect("flight mutex poisoned")
+            .inflight
+            .len()
     }
 }
 
@@ -396,6 +402,58 @@ mod tests {
             }),
         );
         assert!(matches!(flights.join("k"), FlightRole::Leader), "failure must be retryable");
+    }
+
+    #[test]
+    fn racing_joins_and_completes_on_one_key_have_one_leader() {
+        // Between retiring a flight and memoizing its outcome no join
+        // may find the key in neither map; each round is a fresh key
+        // that all threads race for at once, and exactly one leads.
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 1_000;
+        let flights = Flights::new(ROUNDS);
+        let start = std::sync::Barrier::new(THREADS);
+        let leaders: Vec<usize> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut led = vec![0usize; ROUNDS];
+                        for (round, led) in led.iter_mut().enumerate() {
+                            let key = format!("k{round}");
+                            start.wait();
+                            if let FlightRole::Leader = flights.join(&key) {
+                                *led += 1;
+                                flights.complete(
+                                    &key,
+                                    Arc::new(Outcome {
+                                        body: Arc::new(b"{}".to_vec()),
+                                        is_error: false,
+                                        cache_hit: false,
+                                    }),
+                                );
+                            }
+                            // Join again after the completion raced: the
+                            // memo must answer, never a second leader.
+                            if let FlightRole::Leader = flights.join(&key) {
+                                *led += 1;
+                            }
+                        }
+                        led
+                    })
+                })
+                .collect();
+            let mut total = vec![0usize; ROUNDS];
+            for worker in workers {
+                for (sum, led) in total.iter_mut().zip(worker.join().unwrap()) {
+                    *sum += led;
+                }
+            }
+            total
+        });
+        for (round, &count) in leaders.iter().enumerate() {
+            assert_eq!(count, 1, "round {round} had {count} leaders");
+        }
+        assert_eq!(flights.inflight_len(), 0);
     }
 
     #[test]

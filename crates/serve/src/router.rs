@@ -28,8 +28,9 @@ use mcast_obs::json::{self, write_str, Value};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which curve a query asks for (mirrors the `mcs measure` contract).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -231,17 +232,22 @@ fn send_unary(
     let frame = unary_response(status, "application/json", body, extra);
     count_write(out, &frame, &mut bytes_out)?;
     out.flush()?;
+    Ok(finish(status, bytes_out, false))
+}
+
+/// Count a fully written response and describe it.
+fn finish(status: u16, bytes_out: u64, streamed: bool) -> ResponseInfo {
     if status < 400 {
         mcast_obs::counter("serve.request.ok").add(1);
     } else {
         mcast_obs::counter("serve.request.error").add(1);
     }
     mcast_obs::counter("serve.bytes_out").add(bytes_out);
-    Ok(ResponseInfo {
+    ResponseInfo {
         status,
         bytes_out,
-        streamed: false,
-    })
+        streamed,
+    }
 }
 
 fn send_error(
@@ -518,65 +524,142 @@ fn panic_error(payload: &(dyn std::any::Any + Send)) -> BackendError {
     }
 }
 
-/// Run the backend while draining its progress lines into `emit`
-/// (called on the request thread only). Returns the backend result.
-fn run_with_progress(
+/// Run the backend, turning a panic into the 500 of [`panic_error`]:
+/// a panicking backend still yields an outcome, so its flight is
+/// retired and no follower of the key is stranded.
+fn run_backend(
+    ctx: &Ctx,
+    spec: &MeasureSpec,
+    progress: &mut dyn FnMut(String),
+) -> Result<MeasureOutput, BackendError> {
+    catch_unwind(AssertUnwindSafe(|| ctx.backend.measure(spec, progress)))
+        .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())))
+}
+
+/// Run the backend on a scoped thread and hand each of its progress
+/// lines to `emit` as it arrives, plus one `serve.progress` heartbeat
+/// per elapsed second. An `emit` error is returned once the backend
+/// has finished; its result is then dropped.
+fn run_streamed(
     ctx: &Ctx,
     spec: &MeasureSpec,
     mut emit: impl FnMut(String) -> std::io::Result<()>,
 ) -> std::io::Result<Result<MeasureOutput, BackendError>> {
-    use std::sync::atomic::AtomicBool as Flag;
-    let done = Flag::new(false);
-    let slot: Mutex<Option<Result<MeasureOutput, BackendError>>> = Mutex::new(None);
-    let lines: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let backend = Arc::clone(&ctx.backend);
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        scope.spawn(|| {
-            // A panicking backend still fills the slot and raises `done`:
-            // otherwise this loop polls forever and the flight is never
-            // retired, stranding every follower of the key.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                backend.measure(spec, &mut |line| {
-                    lines.lock().expect("progress mutex poisoned").push(line);
-                })
-            }))
-            .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
-            *slot.lock().expect("result mutex poisoned") = Some(result);
-            done.store(true, Ordering::Release);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(move || {
+            run_backend(ctx, spec, &mut |line| {
+                // The receiver outlives the scope, so this cannot fail.
+                let _ = tx.send(line);
+            })
         });
         let started = Instant::now();
-        let mut last_heartbeat = 0u64;
+        let mut next_beat = started + Duration::from_secs(1);
         loop {
-            let finished = done.load(Ordering::Acquire);
-            let drained: Vec<String> =
-                std::mem::take(&mut *lines.lock().expect("progress mutex poisoned"));
-            for line in drained {
-                emit(line)?;
+            match rx.recv_timeout(next_beat.saturating_duration_since(Instant::now())) {
+                Ok(line) => emit(line)?,
+                Err(RecvTimeoutError::Timeout) => {}
+                // The worker dropped its sender: the backend returned.
+                Err(RecvTimeoutError::Disconnected) => break,
             }
-            if finished {
-                return Ok(());
+            if Instant::now() >= next_beat {
+                emit(heartbeat(started))?;
+                next_beat = Instant::now() + Duration::from_secs(1);
             }
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            if elapsed_ms >= last_heartbeat + 1000 {
-                last_heartbeat = elapsed_ms;
-                let mut line = String::from("{\"ev\":\"serve.progress\",\"elapsed_ms\":");
-                line.push_str(&elapsed_ms.to_string());
-                line.push_str(",\"queue_depth\":");
-                line.push_str(&mcast_obs::gauge("serve.queue_depth").get().to_string());
-                line.push_str(",\"cache_hit\":");
-                line.push_str(&mcast_obs::counter("serve.cache.hit").get().to_string());
-                line.push_str(",\"cache_miss\":");
-                line.push_str(&mcast_obs::counter("serve.cache.miss").get().to_string());
-                line.push('}');
-                emit(line)?;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
         }
-    })?;
-    Ok(slot
-        .into_inner()
-        .expect("result mutex poisoned")
-        .expect("backend thread always fills the slot"))
+        Ok(worker.join().expect("run_backend catches backend panics"))
+    })
+}
+
+/// One `serve.progress` line: time since `started` and the serve
+/// counters a client can watch while the leader measures.
+fn heartbeat(started: Instant) -> String {
+    let mut line = String::from("{\"ev\":\"serve.progress\",\"elapsed_ms\":");
+    line.push_str(&(started.elapsed().as_millis() as u64).to_string());
+    line.push_str(",\"queue_depth\":");
+    line.push_str(&mcast_obs::gauge("serve.queue_depth").get().to_string());
+    line.push_str(",\"cache_hit\":");
+    line.push_str(&mcast_obs::counter("serve.cache.hit").get().to_string());
+    line.push_str(",\"cache_miss\":");
+    line.push_str(&mcast_obs::counter("serve.cache.miss").get().to_string());
+    line.push('}');
+    line
+}
+
+/// Write the chunked head and the `serve.join` line of a streamed
+/// answer; only the leader's join line names the key.
+fn stream_head(
+    out: &mut dyn Write,
+    status: u16,
+    source: &str,
+    key: Option<&str>,
+    bytes_out: &mut u64,
+) -> std::io::Result<()> {
+    count_write(out, &chunked_head(status, "application/x-jsonl"), bytes_out)?;
+    let mut line = String::from("{\"ev\":\"serve.join\",\"source\":");
+    write_str(&mut line, source);
+    if let Some(key) = key {
+        line.push_str(",\"key\":");
+        write_str(&mut line, key);
+    }
+    line.push_str("}\n");
+    count_write(out, &chunk(line.as_bytes()), bytes_out)?;
+    out.flush()
+}
+
+/// Execute the query as the flight's leader and retire the flight. A
+/// unary leader calls the backend on the request thread; a streamed
+/// one forwards its progress lines as chunks while it runs.
+fn lead(
+    ctx: &Ctx,
+    spec: &MeasureSpec,
+    key: &str,
+    stream: bool,
+    out: &mut dyn Write,
+    bytes_out: &mut u64,
+) -> std::io::Result<Arc<Outcome>> {
+    let result = if stream {
+        // The stream must start before the outcome is known, so a failed
+        // measurement is reported in-band: a final `error` JSONL line
+        // inside a 200 chunked response.
+        stream_head(out, 200, "lead", Some(key), bytes_out)?;
+        run_streamed(ctx, spec, |mut line| {
+            line.push('\n');
+            count_write(out, &chunk(line.as_bytes()), bytes_out)?;
+            out.flush()
+        })?
+    } else {
+        run_backend(ctx, spec, &mut |_line| {})
+    };
+    let cache_hit = result.as_ref().is_ok_and(|output| output.cache_hit);
+    if cache_hit {
+        mcast_obs::counter("serve.cache.hit").add(1);
+    } else {
+        mcast_obs::counter("serve.cache.miss").add(1);
+        mcast_obs::counter("serve.exec").add(1);
+    }
+    let outcome = Arc::new(match result {
+        Ok(output) => Outcome {
+            body: Arc::new(output.body),
+            is_error: false,
+            cache_hit,
+        },
+        Err(err) => {
+            mcast_obs::warn!(
+                "serve",
+                "measurement {key} failed for request {}: {}",
+                spec.request_id,
+                err.message
+            );
+            Outcome {
+                body: Arc::new(backend_error_payload(&err).into_bytes()),
+                is_error: true,
+                cache_hit: false,
+            }
+        }
+    });
+    ctx.flights.complete(key, Arc::clone(&outcome));
+    Ok(outcome)
 }
 
 fn handle_measure(ctx: &Ctx, req: &Request, out: &mut dyn Write) -> std::io::Result<ResponseInfo> {
@@ -594,21 +677,16 @@ fn handle_measure(ctx: &Ctx, req: &Request, out: &mut dyn Write) -> std::io::Res
     let _span = mcast_obs::span_at(format!("serve.measure.{}", spec.kind.name()));
 
     // Single-flight: at most one thread executes a given key at a time.
+    let mut bytes_out = 0u64;
     let (outcome, source) = match ctx.flights.join(&key) {
         FlightRole::Memoized(outcome) => (outcome, "memo"),
         FlightRole::Follower(outcome) => (outcome, "flight"),
         FlightRole::Leader => {
             mcast_obs::gauge("serve.inflight").add(1);
-            let result = if stream {
-                lead_streamed(ctx, &spec, &key, out)
-            } else {
-                lead_unary(ctx, &spec, &key)
-            };
+            let result = lead(ctx, &spec, &key, stream, out, &mut bytes_out);
             mcast_obs::gauge("serve.inflight").add(-1);
             match result {
-                // Streamed leaders already wrote the response.
-                Ok(LeaderOutput::Streamed(info)) => return Ok(info),
-                Ok(LeaderOutput::Done(outcome)) => (outcome, "lead"),
+                Ok(outcome) => (outcome, "lead"),
                 Err(io_err) => {
                     // The connection died mid-execution; retire the
                     // flight with an error outcome so followers are
@@ -637,137 +715,36 @@ fn handle_measure(ctx: &Ctx, req: &Request, out: &mut dyn Write) -> std::io::Res
         mcast_obs::counter("serve.cache.hit").add(1);
     }
     let status = if outcome.is_error { 500 } else { 200 };
-    let cache_header = if outcome.is_error {
-        "error"
-    } else if source == "lead" && !outcome.cache_hit {
-        "miss"
-    } else {
-        "hit"
-    };
-    if stream {
-        let mut bytes_out = 0u64;
-        count_write(out, &chunked_head(status, "application/x-jsonl"), &mut bytes_out)?;
-        let mut line = String::from("{\"ev\":\"serve.join\",\"source\":");
-        write_str(&mut line, source);
-        line.push('}');
-        line.push('\n');
-        count_write(out, &chunk(line.as_bytes()), &mut bytes_out)?;
-        let mut final_line = Vec::with_capacity(outcome.body.len() + 1);
-        final_line.extend_from_slice(&outcome.body);
-        final_line.push(b'\n');
-        count_write(out, &chunk(&final_line), &mut bytes_out)?;
-        count_write(out, CHUNK_END, &mut bytes_out)?;
-        out.flush()?;
-        finish_counts(status, bytes_out);
-        Ok(ResponseInfo {
-            status,
-            bytes_out,
-            streamed: true,
-        })
-    } else {
-        send_unary(out, status, &outcome.body, &[("X-Cache", cache_header)])
+    if !stream {
+        let cache_header = if outcome.is_error {
+            "error"
+        } else if source == "lead" && !outcome.cache_hit {
+            "miss"
+        } else {
+            "hit"
+        };
+        return send_unary(out, status, &outcome.body, &[("X-Cache", cache_header)]);
     }
-}
-
-enum LeaderOutput {
-    /// Non-streamed: outcome for the caller to render.
-    Done(Arc<Outcome>),
-    /// Streamed: the response has been fully written already.
-    Streamed(ResponseInfo),
-}
-
-fn execute(ctx: &Ctx, spec: &MeasureSpec, key: &str, result: Result<MeasureOutput, BackendError>) -> Arc<Outcome> {
-    let outcome = match result {
-        Ok(output) => {
-            if output.cache_hit {
-                mcast_obs::counter("serve.cache.hit").add(1);
-            } else {
-                mcast_obs::counter("serve.cache.miss").add(1);
-                mcast_obs::counter("serve.exec").add(1);
-            }
-            Arc::new(Outcome {
-                body: Arc::new(output.body),
-                is_error: false,
-                cache_hit: output.cache_hit,
-            })
-        }
-        Err(err) => {
-            mcast_obs::counter("serve.cache.miss").add(1);
-            mcast_obs::counter("serve.exec").add(1);
-            mcast_obs::warn!(
-                "serve",
-                "measurement {key} failed for request {}: {}",
-                spec.request_id,
-                err.message
-            );
-            Arc::new(Outcome {
-                body: Arc::new(backend_error_payload(&err).into_bytes()),
-                is_error: true,
-                cache_hit: false,
-            })
-        }
-    };
-    ctx.flights.complete(key, Arc::clone(&outcome));
-    outcome
-}
-
-fn lead_unary(ctx: &Ctx, spec: &MeasureSpec, key: &str) -> std::io::Result<LeaderOutput> {
-    let result = run_with_progress(ctx, spec, |_line| Ok(()))?;
-    Ok(LeaderOutput::Done(execute(ctx, spec, key, result)))
-}
-
-fn finish_counts(status: u16, bytes_out: u64) {
-    if status < 400 {
-        mcast_obs::counter("serve.request.ok").add(1);
-    } else {
-        mcast_obs::counter("serve.request.error").add(1);
+    if source != "lead" {
+        stream_head(out, status, source, None, &mut bytes_out)?;
     }
-    mcast_obs::counter("serve.bytes_out").add(bytes_out);
-}
-
-fn lead_streamed(
-    ctx: &Ctx,
-    spec: &MeasureSpec,
-    key: &str,
-    out: &mut dyn Write,
-) -> std::io::Result<LeaderOutput> {
-    // The stream must start before the outcome is known, so a failed
-    // measurement is reported in-band: a final `error` JSONL line
-    // inside a 200 chunked response.
-    let mut bytes_out = 0u64;
-    count_write(out, &chunked_head(200, "application/x-jsonl"), &mut bytes_out)?;
-    let mut line = String::from("{\"ev\":\"serve.join\",\"source\":\"lead\",\"key\":");
-    write_str(&mut line, key);
-    line.push('}');
-    line.push('\n');
-    count_write(out, &chunk(line.as_bytes()), &mut bytes_out)?;
-    out.flush()?;
-    let result = run_with_progress(ctx, spec, |mut line| {
-        line.push('\n');
-        count_write(out, &chunk(line.as_bytes()), &mut bytes_out)?;
-        out.flush()
-    })?;
-    let outcome = execute(ctx, spec, key, result);
     let mut final_line = Vec::with_capacity(outcome.body.len() + 1);
     final_line.extend_from_slice(&outcome.body);
     final_line.push(b'\n');
     count_write(out, &chunk(&final_line), &mut bytes_out)?;
     count_write(out, CHUNK_END, &mut bytes_out)?;
     out.flush()?;
-    let status = if outcome.is_error { 500 } else { 200 };
-    finish_counts(status, bytes_out);
-    Ok(LeaderOutput::Streamed(ResponseInfo {
-        status,
-        bytes_out,
-        streamed: true,
-    }))
+    Ok(finish(status, bytes_out, true))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::parse_response;
     use crate::quota::QuotaConfig;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Condvar;
+    use std::thread::ThreadId;
 
     /// Answers every query with a fixed body, after panicking on the
     /// first `panics` calls.
@@ -797,6 +774,19 @@ mod tests {
         }
     }
 
+    fn test_ctx(backend: Arc<dyn Backend>) -> Ctx {
+        Ctx {
+            registry: TopologyRegistry::new(None).unwrap(),
+            flights: Flights::new(8),
+            quotas: Quotas::new(QuotaConfig::default()),
+            backend,
+            shutdown: Arc::new(ShutdownSignal::new()),
+            threads: 1,
+            started: Instant::now(),
+            next_request_id: AtomicU64::new(1),
+        }
+    }
+
     fn measure_request(ctx: &Ctx, stream: bool) -> Request {
         let (topo, _) = ctx
             .registry
@@ -814,18 +804,9 @@ mod tests {
     #[test]
     fn a_panicking_backend_answers_500_and_retires_its_flight() {
         for stream in [false, true] {
-            let ctx = Ctx {
-                registry: TopologyRegistry::new(None).unwrap(),
-                flights: Flights::new(8),
-                quotas: Quotas::new(QuotaConfig::default()),
-                backend: Arc::new(PanicsFirst {
-                    panics: AtomicUsize::new(1),
-                }),
-                shutdown: Arc::new(ShutdownSignal::new()),
-                threads: 1,
-                started: Instant::now(),
-                next_request_id: AtomicU64::new(1),
-            };
+            let ctx = test_ctx(Arc::new(PanicsFirst {
+                panics: AtomicUsize::new(1),
+            }));
             let req = measure_request(&ctx, stream);
 
             let mut out = Vec::new();
@@ -841,6 +822,162 @@ mod tests {
             assert_eq!(info.status, 200, "stream {stream}");
             assert!(String::from_utf8_lossy(&out).contains("{\"ok\":true}"));
             assert_eq!(ctx.flights.inflight_len(), 0, "stream {stream}");
+        }
+    }
+
+    /// Set once a streamed response has carried a `serve.progress`
+    /// heartbeat.
+    #[derive(Default)]
+    struct HeartbeatSeen {
+        seen: Mutex<bool>,
+        cond: Condvar,
+    }
+
+    /// Records the thread it runs on, emits progress line `a`, then —
+    /// when given a [`HeartbeatSeen`] — stays silent until the response
+    /// has carried a heartbeat, emits `b` and answers a fixed body.
+    #[derive(Default)]
+    struct Scripted {
+        ran_on: Mutex<Option<ThreadId>>,
+        heartbeat: Option<Arc<HeartbeatSeen>>,
+    }
+
+    impl Backend for Scripted {
+        fn query_key(&self, spec: &MeasureSpec) -> String {
+            format!("{}/{}", spec.topology.id, spec.seed)
+        }
+
+        fn measure(
+            &self,
+            _spec: &MeasureSpec,
+            progress: &mut dyn FnMut(String),
+        ) -> Result<MeasureOutput, BackendError> {
+            *self.ran_on.lock().unwrap() = Some(std::thread::current().id());
+            progress("{\"ev\":\"a\"}".to_string());
+            if let Some(hb) = &self.heartbeat {
+                let seen = hb.seen.lock().unwrap();
+                let (seen, _) = hb
+                    .cond
+                    .wait_timeout_while(seen, Duration::from_secs(30), |seen| !*seen)
+                    .unwrap();
+                assert!(*seen, "no heartbeat within 30 s of silence");
+            }
+            progress("{\"ev\":\"b\"}".to_string());
+            Ok(MeasureOutput {
+                body: b"{\"ok\":true}".to_vec(),
+                cache_hit: false,
+            })
+        }
+    }
+
+    /// Keeps what is written and raises `heartbeat` on the first
+    /// `serve.progress` line.
+    struct Recorder {
+        bytes: Vec<u8>,
+        heartbeat: Arc<HeartbeatSeen>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            if String::from_utf8_lossy(buf).contains("serve.progress") {
+                *self.heartbeat.seen.lock().unwrap() = true;
+                self.heartbeat.cond.notify_all();
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Accepts the first `ok_writes` writes, then fails every one.
+    struct FailsAfter {
+        ok_writes: usize,
+    }
+
+    impl Write for FailsAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.ok_writes == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::BrokenPipe,
+                    "client went away",
+                ));
+            }
+            self.ok_writes -= 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_unary_leader_runs_the_backend_on_the_request_thread() {
+        let backend = Arc::new(Scripted::default());
+        let ctx = test_ctx(backend.clone());
+        let mut out = Vec::new();
+        let info = handle(&ctx, &measure_request(&ctx, false), &mut out).unwrap();
+        assert_eq!(info.status, 200);
+        assert_eq!(
+            *backend.ran_on.lock().unwrap(),
+            Some(std::thread::current().id())
+        );
+    }
+
+    #[test]
+    fn a_streamed_leader_forwards_progress_and_heartbeats_in_order() {
+        let heartbeat = Arc::new(HeartbeatSeen::default());
+        let ctx = test_ctx(Arc::new(Scripted {
+            heartbeat: Some(heartbeat.clone()),
+            ..Scripted::default()
+        }));
+        let mut out = Recorder {
+            bytes: Vec::new(),
+            heartbeat,
+        };
+        let info = handle(&ctx, &measure_request(&ctx, true), &mut out).unwrap();
+        assert_eq!(info.status, 200);
+        let resp = parse_response(&out.bytes).expect("a well-formed chunked answer");
+        let lines = resp.jsonl_lines();
+        let (join, rest) = lines.split_first().unwrap();
+        let (body, events) = rest.split_last().unwrap();
+        let join = json::parse(join).unwrap();
+        assert_eq!(join.get("ev").and_then(Value::as_str), Some("serve.join"));
+        assert_eq!(join.get("source").and_then(Value::as_str), Some("lead"));
+        assert!(join.get("key").and_then(Value::as_str).is_some());
+        let events: Vec<String> = events
+            .iter()
+            .map(|line| {
+                let line = json::parse(line).unwrap();
+                line.get("ev").and_then(Value::as_str).unwrap().to_string()
+            })
+            .collect();
+        let (first, beats) = events.split_first().unwrap();
+        let (last, beats) = beats.split_last().unwrap();
+        assert_eq!((first.as_str(), last.as_str()), ("a", "b"), "{lines:?}");
+        assert!(!beats.is_empty(), "{lines:?}");
+        assert!(beats.iter().all(|ev| ev == "serve.progress"), "{lines:?}");
+        assert_eq!(*body, "{\"ok\":true}");
+    }
+
+    #[test]
+    fn a_streamed_leader_whose_client_fails_retires_its_flight() {
+        // One write is the chunked head: the join line fails. Two let
+        // the join line through: forwarding progress line `a` fails.
+        for ok_writes in [1, 2] {
+            let ctx = test_ctx(Arc::new(Scripted::default()));
+            let req = measure_request(&ctx, true);
+            let err = handle(&ctx, &req, &mut FailsAfter { ok_writes });
+            assert!(err.is_err(), "ok_writes {ok_writes}");
+            assert_eq!(ctx.flights.inflight_len(), 0, "ok_writes {ok_writes}");
+
+            let mut out = Vec::new();
+            let info = handle(&ctx, &req, &mut out).expect("the response is written");
+            assert_eq!(info.status, 200, "ok_writes {ok_writes}");
+            assert!(String::from_utf8_lossy(&out).contains("{\"ok\":true}"));
         }
     }
 }
