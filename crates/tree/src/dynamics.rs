@@ -260,9 +260,10 @@ impl Ord for Earliest {
     }
 }
 
-/// A churn event calendar desynchronised from the simulation loop — the
-/// typed form of what used to be a panic deep inside the runner, so a
-/// suite run can quarantine the one affected curve instead of aborting.
+/// A churn event calendar desynchronised from the simulation loop, or too
+/// large to schedule — the typed form of what used to be a panic deep
+/// inside the runner, so a suite run can quarantine the one affected
+/// curve instead of aborting.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ChurnError {
     /// A departure was due (the next-event scan saw one earlier than the
@@ -280,6 +281,15 @@ pub enum ChurnError {
         /// Simulation clock at that point.
         now: f64,
     },
+    /// A flash scenario would schedule more events than one
+    /// [`crate::storm::Storm`] can hold ([`crate::storm::Storm::MAX_EVENTS`]);
+    /// refused before the calendar is allocated.
+    CalendarTooLarge {
+        /// Sessions requested.
+        sessions: u32,
+        /// Receivers requested per session.
+        receivers_per_session: u32,
+    },
 }
 
 impl std::fmt::Display for ChurnError {
@@ -292,6 +302,13 @@ impl std::fmt::Display for ChurnError {
             ChurnError::DuplicateSession { session, now } => {
                 write!(f, "storm calendar desync: session {session} started twice (t={now})")
             }
+            ChurnError::CalendarTooLarge {
+                sessions,
+                receivers_per_session,
+            } => write!(
+                f,
+                "storm calendar too large: {sessions} sessions x {receivers_per_session} receivers need more than 2^32 - 1 events"
+            ),
         }
     }
 }

@@ -12,7 +12,9 @@
 //!   plain integer tuple with derived `Ord`, so equal-time events always
 //!   replay in `(session, seq)` order: the stream is bit-reproducible
 //!   whatever order events were scheduled in and whatever the float
-//!   environment does.
+//!   environment does. The key is the only copy of the time (the fold
+//!   inverts exactly), so an event is 24 bytes and one `Storm` schedules
+//!   at most [`Storm::MAX_EVENTS`] of them.
 //! * **Shared skeletons, sparse sessions.** A dense `MemberTree` per
 //!   session would cost `O(sessions × nodes)` memory — 10⁵ sessions on
 //!   ti5000 is gigabytes. Instead each distinct source's shortest-path
@@ -21,7 +23,8 @@
 //!   a [`SessionTree`] holds only its own sparse refcounts — memory
 //!   proportional to *members*, not nodes. Skeleton construction reuses
 //!   the engine's single scalar-BFS scratch (the zero-alloc engine's
-//!   pattern: one buffer set, every session).
+//!   pattern: one buffer set, every session), and a skeleton stores its
+//!   parents as `u16` ids on graphs below 65,535 nodes.
 //! * **Batched grafts.** Events are drained a *tick* at a time (all
 //!   events with equal `time_bits`). When a tick starts at least
 //!   [`Storm::DEFAULT_BATCH_THRESHOLD`] sessions whose skeletons are not
@@ -37,7 +40,7 @@
 //! index, so per-tick L(m) telemetry is bit-identical at every thread
 //! count.
 
-use crate::dynamics::{time_order_bits, ChurnConfig, ChurnError};
+use crate::dynamics::{time_order_bits, time_order_value, ChurnConfig, ChurnError};
 use mcast_topology::batch::{max_lanes, BatchBfs, LANES_PER_WORD};
 use mcast_topology::bfs::{min_index_parents, Bfs, UNREACHED};
 use mcast_topology::{Graph, NodeId};
@@ -57,7 +60,7 @@ pub struct EventKey {
     /// Monotone schedule counter — the final tie-breaker, so two events
     /// of one session at one instant apply in the order they were
     /// scheduled.
-    pub seq: u64,
+    pub seq: u32,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -68,12 +71,17 @@ enum EventKind {
     Leave { site: NodeId },
 }
 
+/// A scheduled event. Its time lives only in `key.time_bits`; the run
+/// loop recovers the clock with [`time_order_value`].
 #[derive(Clone, Copy, Debug)]
 struct Event {
     key: EventKey,
-    time: f64,
     kind: EventKind,
 }
+
+// The calendar holds every scheduled event at once (1.2 M in a 10⁵-session
+// flash crowd): a field that widens `Event` widens the whole heap.
+const _: () = assert!(std::mem::size_of::<Event>() == 24);
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -94,12 +102,67 @@ impl Ord for Event {
     }
 }
 
+/// A skeleton's parent array at the narrowest id width the graph needs:
+/// `u16` ids, with `u16::MAX` standing for [`UNREACHED`], below
+/// [`Parents::NARROW_LIMIT`] nodes, `u32` ids otherwise. Halving the
+/// width halves a storm's skeleton memory, which on ti5000 with 5,000
+/// live sources is most of the engine's footprint.
+enum Parents {
+    Narrow(Vec<u16>),
+    Wide(Vec<NodeId>),
+}
+
+impl Parents {
+    /// Graphs with fewer nodes than this store `u16` parents: every id is
+    /// below `u16::MAX`, which is left free for the sentinel.
+    const NARROW_LIMIT: usize = u16::MAX as usize;
+
+    /// Take the parents `scratch` holds (one per node, as
+    /// `min_index_parents` writes them). The narrow copy leaves `scratch`
+    /// allocated for the next build; the wide case moves it out.
+    fn from_scratch(scratch: &mut Vec<NodeId>) -> Self {
+        if scratch.len() < Self::NARROW_LIMIT {
+            Parents::Narrow(
+                scratch
+                    .iter()
+                    .map(|&p| u16::try_from(p).unwrap_or(u16::MAX))
+                    .collect(),
+            )
+        } else {
+            Parents::Wide(std::mem::take(scratch))
+        }
+    }
+
+    /// Parent of `v`, or [`UNREACHED`].
+    #[inline]
+    fn get(&self, v: NodeId) -> NodeId {
+        match self {
+            Parents::Narrow(p) => match p[v as usize] {
+                u16::MAX => UNREACHED,
+                id => NodeId::from(id),
+            },
+            Parents::Wide(p) => p[v as usize],
+        }
+    }
+}
+
 /// One source's shortest-path skeleton: parent pointers under the
-/// lowest-id rule. `parent[source] == source`; unreachable nodes carry
-/// [`UNREACHED`]. Shared by every concurrent session rooted there.
+/// lowest-id rule. `parent.get(source) == source`; unreachable nodes
+/// carry [`UNREACHED`]. Shared by every concurrent session rooted there.
 struct SourceTree {
     source: NodeId,
-    parent: Vec<NodeId>,
+    parent: Parents,
+}
+
+impl SourceTree {
+    /// The one constructor both build paths use: wrap the parents that
+    /// `scratch` holds for `source`.
+    fn from_scratch(source: NodeId, scratch: &mut Vec<NodeId>) -> Arc<Self> {
+        Arc::new(SourceTree {
+            source,
+            parent: Parents::from_scratch(scratch),
+        })
+    }
 }
 
 /// A sparse per-session member tree over a shared `SourceTree`.
@@ -173,7 +236,7 @@ impl SessionTree {
     }
 
     fn reachable(&self, site: NodeId) -> bool {
-        site == self.skeleton.source || self.skeleton.parent[site as usize] != UNREACHED
+        site == self.skeleton.source || self.skeleton.parent.get(site) != UNREACHED
     }
 
     /// Add a member at `site`; returns links grafted. The source and
@@ -190,7 +253,7 @@ impl SessionTree {
             if sparse_incr(&mut self.refcount, v) == 1 {
                 grafted += 1;
             }
-            v = self.skeleton.parent[v as usize];
+            v = self.skeleton.parent.get(v);
         }
         self.links += grafted;
         grafted
@@ -215,7 +278,7 @@ impl SessionTree {
             if sparse_decr(&mut self.refcount, v) == 0 {
                 pruned += 1;
             }
-            v = self.skeleton.parent[v as usize];
+            v = self.skeleton.parent.get(v);
         }
         self.links -= pruned;
         Some(pruned)
@@ -281,6 +344,9 @@ pub struct StormOutcome {
 }
 
 /// The multi-session event engine. Schedule events, then [`run`](Self::run).
+///
+/// One `Storm` schedules at most [`Storm::MAX_EVENTS`] (2³² − 1) events
+/// over its life; the `schedule_*` methods panic past that.
 pub struct Storm<'g> {
     graph: &'g Graph,
     bfs: Bfs<'g>,
@@ -290,7 +356,7 @@ pub struct Storm<'g> {
     measure_from: f64,
     measure_until: f64,
     queue: BinaryHeap<Event>,
-    next_seq: u64,
+    next_seq: u32,
     sessions: HashMap<u32, SessionTree>,
     skeletons: HashMap<NodeId, Arc<SourceTree>>,
     /// Scratch for parent derivation, shared by both build paths.
@@ -307,6 +373,10 @@ impl<'g> Storm<'g> {
     /// maximum width, so the break-even point does not move when the
     /// wide-lane ceiling grows.
     pub const DEFAULT_BATCH_THRESHOLD: usize = LANES_PER_WORD;
+
+    /// Events one `Storm` can schedule over its life, 2³² − 1: the
+    /// schedule counter [`EventKey::seq`] is a `u32`.
+    pub const MAX_EVENTS: u64 = u32::MAX as u64;
 
     /// New engine over `graph` with an empty calendar.
     pub fn new(graph: &'g Graph) -> Self {
@@ -362,13 +432,19 @@ impl<'g> Storm<'g> {
     }
 
     fn push(&mut self, t: f64, session: u32, kind: EventKind) {
+        let seq = self.next_seq;
+        assert!(
+            seq < u32::MAX,
+            "a Storm schedules at most {} (2^32 - 1) events",
+            Self::MAX_EVENTS
+        );
+        self.next_seq += 1;
         let key = EventKey {
             time_bits: time_order_bits(t),
             session,
-            seq: self.next_seq,
+            seq,
         };
-        self.next_seq += 1;
-        self.queue.push(Event { key, time: t, kind });
+        self.queue.push(Event { key, kind });
     }
 
     /// Schedule session `session` (a caller-chosen, never-reused id) to
@@ -403,10 +479,7 @@ impl<'g> Storm<'g> {
             source,
             &mut self.parent_scratch,
         );
-        Arc::new(SourceTree {
-            source,
-            parent: std::mem::take(&mut self.parent_scratch),
-        })
+        SourceTree::from_scratch(source, &mut self.parent_scratch)
     }
 
     /// Drain the calendar, applying every event in `(time, session, seq)`
@@ -429,10 +502,9 @@ impl<'g> Storm<'g> {
 
         let mut tick = std::mem::take(&mut self.tick);
         let mut wanted = std::mem::take(&mut self.wanted);
-        while let Some(&head) = self.queue.peek() {
+        while let Some(bits) = self.queue.peek().map(|ev| ev.key.time_bits) {
             // Drain the tick: every event sharing the head's time bits.
             tick.clear();
-            let bits = head.key.time_bits;
             while let Some(ev) = self.queue.peek() {
                 if ev.key.time_bits != bits {
                     break;
@@ -442,7 +514,7 @@ impl<'g> Storm<'g> {
 
             // Advance the clock to the tick, integrating the measured
             // window (state is piecewise constant between ticks).
-            let t = head.time;
+            let t = time_order_value(bits);
             let lo = now.max(self.measure_from);
             let hi = t.min(self.measure_until);
             if hi > lo {
@@ -481,10 +553,7 @@ impl<'g> Storm<'g> {
                         self.batch.parent_tree(lane, &mut self.parent_scratch);
                         self.skeletons.insert(
                             source,
-                            Arc::new(SourceTree {
-                                source,
-                                parent: std::mem::take(&mut self.parent_scratch),
-                            }),
+                            SourceTree::from_scratch(source, &mut self.parent_scratch),
                         );
                         out.trees_built_batch += 1;
                     }
@@ -706,6 +775,13 @@ pub struct FlashConfig {
 /// Generate and run a [`FlashConfig`] scenario on `graph`, using `root`
 /// as the BFS-skeleton root for the affinity sampler.
 ///
+/// The calendar is reserved up front at its exact size: each session
+/// schedules a start, an end, and a join and a leave per receiver.
+///
+/// # Errors
+/// [`ChurnError::CalendarTooLarge`] if that count exceeds
+/// [`Storm::MAX_EVENTS`], before anything is allocated.
+///
 /// # Panics
 /// Panics if the graph is not connected (the affinity chain needs a
 /// spanning skeleton), `sessions == 0`, or `receivers_per_session == 0`.
@@ -717,6 +793,16 @@ pub fn simulate_flash(
     assert!(cfg.sessions > 0, "need at least one session");
     assert!(cfg.receivers_per_session > 0, "need at least one receiver");
     assert!(cfg.mean_lifetime > 0.0, "lifetime must be positive");
+    // In u32, like the schedule counter: overflow is exceeding the limit.
+    let calendar = cfg
+        .receivers_per_session
+        .checked_mul(2)
+        .and_then(|joins_and_leaves| joins_and_leaves.checked_add(2))
+        .and_then(|per_session| per_session.checked_mul(cfg.sessions))
+        .ok_or(ChurnError::CalendarTooLarge {
+            sessions: cfg.sessions,
+            receivers_per_session: cfg.receivers_per_session,
+        })?;
     let n = graph.node_count() as NodeId;
 
     // Spanning BFS skeleton of the topology, rooted at `root`, as the
@@ -746,6 +832,7 @@ pub fn simulate_flash(
     let mut storm = Storm::new(graph)
         .sample_every(cfg.sample_every)
         .measure_from(cfg.burst_time);
+    storm.queue.reserve_exact(calendar as usize);
     for session in 0..cfg.sessions {
         let source = uniform_node(&mut rng, n);
         storm.schedule_session_start(cfg.burst_time, session, source);
@@ -778,10 +865,15 @@ mod tests {
     use crate::dynamics::{LifetimeShape, MemberTree};
     use mcast_topology::graph::from_edges;
 
-    fn binary_tree(depth: u32) -> Graph {
-        let n = (1u32 << (depth + 1)) - 1;
+    /// A heap-shaped binary tree on `n` nodes: node `i` hangs off
+    /// `(i - 1) / 2`.
+    fn heap_tree(n: NodeId) -> Graph {
         let edges: Vec<_> = (1..n).map(|i| ((i - 1) / 2, i)).collect();
         from_edges(n as usize, &edges)
+    }
+
+    fn binary_tree(depth: u32) -> Graph {
+        heap_tree((1 << (depth + 1)) - 1)
     }
 
     /// A connected graph with shortest-path ties (a grid-ish mesh), so
@@ -804,7 +896,7 @@ mod tests {
 
     #[test]
     fn event_keys_order_by_time_then_session_then_seq() {
-        let k = |t: f64, session: u32, seq: u64| EventKey {
+        let k = |t: f64, session: u32, seq: u32| EventKey {
             time_bits: time_order_bits(t),
             session,
             seq,
@@ -816,16 +908,35 @@ mod tests {
         assert_eq!(k(0.1 + 0.2, 0, 0).time_bits, k(0.1 + 0.2, 0, 0).time_bits);
     }
 
+    /// Drive a dense `MemberTree` and a `SessionTree` on `skeleton`
+    /// through `ops` (join or leave, site), which must end with every
+    /// member gone. On a tree graph the shortest-path tree is unique, so
+    /// the lowest-id rule and the scalar FIFO rule coincide and the two
+    /// implementations must agree link-for-link after every op.
+    fn assert_matches_member_tree(g: &Graph, skeleton: Arc<SourceTree>, ops: &[(bool, NodeId)]) {
+        let mut dense = MemberTree::new(g, skeleton.source);
+        let mut sparse = SessionTree::new(skeleton);
+        for &(join, site) in ops {
+            if join {
+                assert_eq!(dense.join(site), sparse.join(site), "join {site}");
+            } else {
+                let d = dense.leave(site);
+                let s = sparse.leave(site).unwrap_or(0);
+                assert_eq!(d, s, "leave {site}");
+            }
+            assert_eq!(dense.links(), sparse.links());
+            assert_eq!(dense.member_count(), sparse.member_count());
+        }
+        assert_eq!(sparse.links(), 0);
+        assert!(sparse.refcount.is_empty(), "prunes empty the sparse state");
+    }
+
     #[test]
     fn session_tree_matches_member_tree_on_unique_spt() {
-        // On a tree graph the shortest-path tree is unique, so the
-        // lowest-id rule and the scalar FIFO rule coincide and the two
-        // implementations must agree link-for-link on any op sequence.
         let g = binary_tree(5);
-        let mut dense = MemberTree::new(&g, 0);
         let mut storm = Storm::new(&g);
         let skeleton = storm.build_scalar(0);
-        let mut sparse = SessionTree::new(skeleton);
+        assert!(matches!(skeleton.parent, Parents::Narrow(_)));
         let ops: [(bool, NodeId); 13] = [
             (true, 9),
             (true, 23),
@@ -841,19 +952,93 @@ mod tests {
             (false, 44), // second leave of the doubly-joined site
             (false, 12),
         ];
-        for (join, site) in ops {
-            if join {
-                assert_eq!(dense.join(site), sparse.join(site), "join {site}");
-            } else {
-                let d = dense.leave(site);
-                let s = sparse.leave(site).unwrap_or(0);
-                assert_eq!(d, s, "leave {site}");
+        assert_matches_member_tree(&g, skeleton, &ops);
+    }
+
+    #[test]
+    fn wide_session_tree_matches_member_tree_on_unique_spt() {
+        // Past the u16 id range: skeletons store u32 parents, built on
+        // both the scalar and the batched path.
+        let n: NodeId = 70_001;
+        let g = heap_tree(n);
+        let sources = [0, n - 2];
+        let ops: [(bool, NodeId); 13] = [
+            (true, n - 1), // the largest id
+            (true, 65_535),
+            (true, 65_534),
+            (true, 0),
+            (true, n - 1),
+            (false, 65_535),
+            (false, 65_535), // double leave: no-op on both
+            (true, 40_000),
+            (false, n - 1),
+            (false, 0),
+            (false, 65_534),
+            (false, 40_000),
+            (false, n - 1),
+        ];
+        let mut storm = Storm::new(&g);
+        storm.batch.run(&sources);
+        for (lane, &source) in sources.iter().enumerate() {
+            let scalar = storm.build_scalar(source);
+            storm.batch.parent_tree(lane, &mut storm.parent_scratch);
+            let batched = SourceTree::from_scratch(source, &mut storm.parent_scratch);
+            for skeleton in [scalar, batched] {
+                assert!(matches!(skeleton.parent, Parents::Wide(_)));
+                assert_matches_member_tree(&g, skeleton, &ops);
             }
-            assert_eq!(dense.links(), sparse.links());
-            assert_eq!(dense.member_count(), sparse.member_count());
         }
-        assert_eq!(sparse.links(), 0);
-        assert!(sparse.refcount.is_empty(), "prunes empty the sparse state");
+    }
+
+    #[test]
+    fn parents_round_trip_unreached_and_the_largest_id_at_both_widths() {
+        // The last narrow node count and the first wide one.
+        for n in [Parents::NARROW_LIMIT - 1, Parents::NARROW_LIMIT] {
+            let largest = (n - 1) as NodeId;
+            let mut scratch = vec![0; n];
+            scratch[1] = UNREACHED;
+            scratch[2] = largest;
+            scratch[largest as usize] = largest;
+            let parents = Parents::from_scratch(&mut scratch);
+            assert_eq!(
+                matches!(parents, Parents::Narrow(_)),
+                n < Parents::NARROW_LIMIT,
+                "{n} nodes"
+            );
+            assert_eq!(parents.get(0), 0);
+            assert_eq!(parents.get(1), UNREACHED);
+            assert_eq!(parents.get(2), largest);
+            assert_eq!(parents.get(largest), largest);
+        }
+    }
+
+    #[test]
+    fn an_oversized_flash_calendar_is_a_typed_error() {
+        // 2^30 sessions × (2 + 2 × 1) events is 2^32, one past the limit.
+        let cfg = FlashConfig {
+            sessions: 1 << 30,
+            receivers_per_session: 1,
+            ..flash_cfg(1)
+        };
+        let err = simulate_flash(&binary_tree(3), 0, &cfg).unwrap_err();
+        assert_eq!(
+            err,
+            ChurnError::CalendarTooLarge {
+                sessions: 1 << 30,
+                receivers_per_session: 1
+            }
+        );
+        assert!(err.to_string().contains("2^32 - 1"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4294967295 (2^32 - 1) events")]
+    fn scheduling_past_the_event_limit_panics() {
+        let g = binary_tree(2);
+        let mut storm = Storm::new(&g);
+        storm.next_seq = u32::MAX - 1;
+        storm.schedule_session_start(0.0, 0, 0); // the last event that fits
+        storm.schedule_session_end(1.0, 0);
     }
 
     fn flash_cfg(sessions: u32) -> FlashConfig {
