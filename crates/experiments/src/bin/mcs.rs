@@ -89,8 +89,8 @@
 //! distinguishes complete (0) / partial (2) / failed (1) runs.
 //! ```
 
-use mcast_experiments::sched;
 use mcast_experiments::render;
+use mcast_experiments::sched;
 use mcast_experiments::suite;
 use mcast_experiments::{RunConfig, Scale};
 use std::path::{Path, PathBuf};
@@ -143,7 +143,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--paper" => cfg.scale = Scale::Paper,
             "--fast" => cfg.scale = Scale::Fast,
             "--scale" => {
-                let v = it.next().ok_or("--scale needs `fast`, `paper`, or `huge`")?;
+                let v = it
+                    .next()
+                    .ok_or("--scale needs `fast`, `paper`, or `huge`")?;
                 cfg.scale = match v.as_str() {
                     "fast" => Scale::Fast,
                     "paper" => Scale::Paper,
@@ -404,8 +406,7 @@ fn finalize_run(args: &Args, argv: &[String], started: Instant, exit: u8) {
 /// by its leading event line) is summarised; anything else must be a
 /// summary JSON as written by `mcs obs report --json`.
 fn read_summary(path: &str) -> Result<mcast_obs::export::TraceSummary, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     if text.trim_start().starts_with("{\"ev\":") {
         let trace = mcast_obs::export::parse_trace(&text).map_err(|e| format!("`{path}`: {e}"))?;
         Ok(mcast_obs::export::summarize(&trace))
@@ -415,8 +416,7 @@ fn read_summary(path: &str) -> Result<mcast_obs::export::TraceSummary, String> {
 }
 
 fn read_trace(path: &str) -> Result<mcast_obs::export::ParsedTrace, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     mcast_obs::export::parse_trace(&text).map_err(|e| format!("`{path}`: {e}"))
 }
 
@@ -431,7 +431,12 @@ fn run_obs(cmd: &[String]) -> u8 {
     };
     let (op, rest) = match cmd.split_first() {
         Some((op, rest)) => (op.as_str(), rest),
-        None => return fail(format!("obs takes report, flame, chrome, or diff\n{}", usage())),
+        None => {
+            return fail(format!(
+                "obs takes report, flame, chrome, or diff\n{}",
+                usage()
+            ))
+        }
     };
     match op {
         "report" => {
@@ -473,7 +478,10 @@ fn run_obs(cmd: &[String]) -> u8 {
         }
         "flame" | "chrome" => {
             let [path] = rest else {
-                return fail(format!("obs {op} takes exactly one trace.jsonl\n{}", usage()));
+                return fail(format!(
+                    "obs {op} takes exactly one trace.jsonl\n{}",
+                    usage()
+                ));
             };
             match read_trace(path) {
                 Ok(trace) => {
@@ -584,8 +592,7 @@ fn run_topo(cmd: &[String]) -> Result<(), String> {
 /// `mcs cache ls|verify|gc` against the `--cache-dir` store.
 fn run_cache(cmd: &[String], cache_dir: Option<&Path>) -> Result<(), String> {
     let dir = cache_dir.ok_or("cache commands need --cache-dir")?;
-    let cache =
-        mcast_store::DiskCache::open(dir).map_err(|e| format!("cannot open cache: {e}"))?;
+    let cache = mcast_store::DiskCache::open(dir).map_err(|e| format!("cannot open cache: {e}"))?;
     match cmd {
         [op] if op == "ls" => {
             let entries = cache.ls();
@@ -600,10 +607,11 @@ fn run_cache(cmd: &[String], cache_dir: Option<&Path>) -> Result<(), String> {
                     let grab_str =
                         |k: &str| meta.get(k).and_then(|v| v.as_str().map(str::to_string));
                     let cmd = grab_str("cmd").unwrap_or_else(|| "?".into());
-                    let duration_ms =
-                        meta.get("duration_ms").and_then(|v| v.as_f64()).unwrap_or(0.0);
-                    let threads =
-                        meta.get("threads").and_then(|v| v.as_u64()).unwrap_or(0);
+                    let duration_ms = meta
+                        .get("duration_ms")
+                        .and_then(|v| v.as_f64())
+                        .unwrap_or(0.0);
+                    let threads = meta.get("threads").and_then(|v| v.as_u64()).unwrap_or(0);
                     println!(
                         "last run: {cmd} · {duration_ms:.0} ms · {threads} thread(s){}",
                         match grab_str("trace") {
@@ -692,7 +700,10 @@ fn serve_main(cmd: &[String]) -> Result<u8, String> {
         match cmd[i].as_str() {
             "--addr" => config.addr = value(cmd, &mut i, "--addr")?.to_string(),
             "--port" => {
-                config.addr = format!("127.0.0.1:{}", num::<u16>(value(cmd, &mut i, "--port")?, "--port")?)
+                config.addr = format!(
+                    "127.0.0.1:{}",
+                    num::<u16>(value(cmd, &mut i, "--port")?, "--port")?
+                )
             }
             "--workers" => config.workers = num(value(cmd, &mut i, "--workers")?, "--workers")?,
             "--queue-cap" => {
@@ -707,7 +718,9 @@ fn serve_main(cmd: &[String]) -> Result<u8, String> {
             }
             "--max-body" => config.max_body = num(value(cmd, &mut i, "--max-body")?, "--max-body")?,
             "--threads" => config.threads = num(value(cmd, &mut i, "--threads")?, "--threads")?,
-            "--topo-dir" => config.topo_dir = Some(PathBuf::from(value(cmd, &mut i, "--topo-dir")?)),
+            "--topo-dir" => {
+                config.topo_dir = Some(PathBuf::from(value(cmd, &mut i, "--topo-dir")?))
+            }
             "--request-log" => {
                 config.request_log = Some(PathBuf::from(value(cmd, &mut i, "--request-log")?))
             }
@@ -742,8 +755,8 @@ fn serve_main(cmd: &[String]) -> Result<u8, String> {
     let backend = std::sync::Arc::new(mcast_experiments::service::ServeBackend::new(
         config.threads,
     ));
-    let handle = mcast_serve::serve(config, backend)
-        .map_err(|e| format!("cannot start server: {e}"))?;
+    let handle =
+        mcast_serve::serve(config, backend).map_err(|e| format!("cannot start server: {e}"))?;
     let addr = handle.addr();
     // The listening line is the startup handshake: tests and scripts
     // bind port 0 and scrape the resolved address from stdout (or the
@@ -824,12 +837,7 @@ fn run_scheduled(args: &Args, ids: &[String], started: Instant) -> u8 {
                     o.experiment,
                     f.payload
                 ),
-                None => println!(
-                    "  {:<12} {:>8}  {}",
-                    o.status.as_str(),
-                    o.attempts,
-                    o.label
-                ),
+                None => println!("  {:<12} {:>8}  {}", o.status.as_str(), o.attempts, o.label),
             }
         }
     }

@@ -112,7 +112,10 @@ pub fn try_run(cfg: &RunConfig) -> Result<Report, CurveError> {
                 .collect();
             if !failures.is_empty() {
                 let completed = items.len() - failures.len();
-                return Err(CurveError { failures, completed });
+                return Err(CurveError {
+                    failures,
+                    completed,
+                });
             }
             items.into_iter().map(|r| r.expect("no failures")).collect()
         }
@@ -123,7 +126,10 @@ pub fn try_run(cfg: &RunConfig) -> Result<Report, CurveError> {
                 .into_iter()
                 .map(|f| group(f.index, f.payload))
                 .collect();
-            return Err(CurveError { failures, completed });
+            return Err(CurveError {
+                failures,
+                completed,
+            });
         }
     };
 

@@ -140,11 +140,19 @@ pub fn run(cfg: &RunConfig) -> Report {
         .samples
         .windows(2)
         .filter(|w| w[1].time > w[0].time)
-        .map(|w| (w[1].time, (w[1].joins - w[0].joins) as f64 / (w[1].time - w[0].time)))
+        .map(|w| {
+            (
+                w[1].time,
+                (w[1].joins - w[0].joins) as f64 / (w[1].time - w[0].time),
+            )
+        })
         .collect();
     report.datasets.push(DataSet {
         id: "storm-flash".into(),
-        title: format!("flash crowd of {} sessions: aggregate tree state over time", fcfg.sessions),
+        title: format!(
+            "flash crowd of {} sessions: aggregate tree state over time",
+            fcfg.sessions
+        ),
         xlabel: "time".into(),
         ylabel: "aggregate count".into(),
         log_x: false,

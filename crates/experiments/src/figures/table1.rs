@@ -53,8 +53,8 @@ pub fn network_stats(name: &'static str, kind: NetworkKind, graph: &Graph) -> Ne
         sampled_path_stats(graph, &spread_sources(graph, 200))
     };
     let sources = spread_sources(graph, 64);
-    let reach = AverageReachability::over_sources(graph, &sources)
-        .expect("spread sources are never empty");
+    let reach =
+        AverageReachability::over_sources(graph, &sources).expect("spread sources are never empty");
     NetworkStats {
         name,
         kind,

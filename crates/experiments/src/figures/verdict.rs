@@ -406,9 +406,6 @@ mod tests {
             Ok(_) => unreachable!(),
             Err(e) => e.to_string(),
         };
-        assert!(
-            rendered.contains("has no series `k=2, D=17`"),
-            "{rendered}"
-        );
+        assert!(rendered.contains("has no series `k=2, D=17`"), "{rendered}");
     }
 }

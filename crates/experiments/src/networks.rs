@@ -134,7 +134,11 @@ pub fn as_map(cfg: &RunConfig) -> Network {
 /// (huge: 100,000 nodes at the same degree).
 pub fn r100(cfg: &RunConfig) -> Network {
     memoized("r100", NetworkKind::Generated, cfg, || {
-        let n = if cfg.scale == Scale::Huge { 100_000 } else { 100 };
+        let n = if cfg.scale == Scale::Huge {
+            100_000
+        } else {
+            100
+        };
         random_with_degree(n, 4.0, &mut rng_for(cfg, "r100")).expect("r100 parameters are valid")
     })
 }

@@ -264,7 +264,9 @@ where
         for (i, o) in collected {
             slots[i] = Some(o);
         }
-        failures = shared_failures.into_inner().unwrap_or_else(|e| e.into_inner());
+        failures = shared_failures
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner());
     }
     if failures.is_empty() {
         return Ok(slots.into_iter().map(|s| s.expect("slot filled")).collect());
@@ -277,7 +279,10 @@ where
     if obs_on {
         mcast_obs::counter("runner.item.panic").add(failures.len() as u64);
     }
-    Err(MapError { failures, completed })
+    Err(MapError {
+        failures,
+        completed,
+    })
 }
 
 /// Stateless [`parallel_map_with`]: run `f(index)` for every index in
@@ -709,7 +714,10 @@ fn try_cached_curve(
         }
     }
     let points = try_measure_curve(graph, xs, mcfg, cfg, kind, done, writer)?;
-    match handle.cache.put(&key, ObjectKind::Curve, &encode_curve(&points)) {
+    match handle
+        .cache
+        .put(&key, ObjectKind::Curve, &encode_curve(&points))
+    {
         Ok(()) => mcast_store::checkpoint::remove(&ckpt_dir, &key),
         Err(e) => mcast_obs::warn!("store", "cache write failed: {e}"),
     }
@@ -946,11 +954,10 @@ pub(crate) mod tests {
         let handle = mcast_store::active().unwrap();
         assert!(handle.cache.contains(&key), "curve object persisted");
         // Completed curve leaves no checkpoint behind.
-        assert!(!mcast_store::checkpoint::checkpoint_path(
-            &handle.cache.checkpoint_dir(),
-            &key
-        )
-        .exists());
+        assert!(
+            !mcast_store::checkpoint::checkpoint_path(&handle.cache.checkpoint_dir(), &key)
+                .exists()
+        );
         // Second run must be served from the object; corrupt nothing and
         // the numbers stay bit-identical to the uncached measurement.
         let second = parallel_ratio_curve(&g, &ms, &mcfg, &cfg);
@@ -988,10 +995,8 @@ pub(crate) mod tests {
                 threads,
                 ..RunConfig::fast()
             };
-            let root = std::env::temp_dir().join(format!(
-                "mcs-resume-{}-{threads}",
-                std::process::id()
-            ));
+            let root =
+                std::env::temp_dir().join(format!("mcs-resume-{}-{threads}", std::process::id()));
             let _ = std::fs::remove_dir_all(&root);
             // Simulate a run killed mid-measure: checkpoint only a prefix
             // of the plan's groups (what a dead process leaves behind),
@@ -1171,10 +1176,12 @@ pub(crate) mod tests {
         // checkpoint was kept for resume.
         let handle = mcast_store::active().unwrap();
         let key = curve_key(&g, &xs, &mcfg, SampleKind::Ratio);
-        assert!(!handle.cache.contains(&key), "failed curve must not publish");
         assert!(
-            mcast_store::checkpoint::checkpoint_path(&handle.cache.checkpoint_dir(), &key)
-                .exists(),
+            !handle.cache.contains(&key),
+            "failed curve must not publish"
+        );
+        assert!(
+            mcast_store::checkpoint::checkpoint_path(&handle.cache.checkpoint_dir(), &key).exists(),
             "survivors' checkpoint must be kept"
         );
         mcast_store::deactivate();

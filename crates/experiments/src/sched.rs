@@ -332,7 +332,9 @@ fn run_task(task: &Task, cfg: &RunConfig) -> Result<Option<Report>, TaskFailure>
         let _ctx = fault::context(&task.label);
         fault::hit_task(&task.label);
         match &task.work {
-            Work::Curve { build, kind, grid } => run_curve(cfg, *build, *kind, *grid).map(|()| None),
+            Work::Curve { build, kind, grid } => {
+                run_curve(cfg, *build, *kind, *grid).map(|()| None)
+            }
             // Churn has a typed fallible path: a desynced or panicking
             // curve comes back as per-group failures instead of an
             // opaque unwind, so the quarantine report can name the
@@ -462,15 +464,16 @@ pub fn run_suite(ids: &[String], cfg: &RunConfig, policy: &SchedPolicy) -> Suite
                                 .unwrap_or_else(|e| e.into_inner())
                                 .insert(task.experiment.clone(), r);
                         }
-                        outcomes.lock().unwrap_or_else(|e| e.into_inner()).push(
-                            TaskOutcome {
+                        outcomes
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .push(TaskOutcome {
                                 label: task.label,
                                 experiment: task.experiment,
                                 status: TaskStatus::Ok,
                                 attempts: task.attempts,
                                 failure: None,
-                            },
-                        );
+                            });
                     }
                     Err(failure) => {
                         if let Some(c) = counters {
@@ -484,15 +487,16 @@ pub fn run_suite(ids: &[String], cfg: &RunConfig, policy: &SchedPolicy) -> Suite
                             failure.payload
                         );
                         if !policy.keep_going {
-                            outcomes.lock().unwrap_or_else(|e| e.into_inner()).push(
-                                TaskOutcome {
+                            outcomes
+                                .lock()
+                                .unwrap_or_else(|e| e.into_inner())
+                                .push(TaskOutcome {
                                     label: task.label,
                                     experiment: task.experiment,
                                     status: TaskStatus::Failed,
                                     attempts: task.attempts,
                                     failure: Some(failure),
-                                },
-                            );
+                                });
                             abort.store(true, Ordering::Relaxed);
                             break;
                         }
@@ -507,16 +511,12 @@ pub fn run_suite(ids: &[String], cfg: &RunConfig, policy: &SchedPolicy) -> Suite
                                 task.attempts
                             );
                             let depth = {
-                                let mut q =
-                                    queue.lock().unwrap_or_else(|e| e.into_inner());
+                                let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
                                 q.push_back(task);
                                 q.len()
                             };
                             if mcast_obs::trace::active() {
-                                mcast_obs::trace::instant(
-                                    "sched.queue_depth",
-                                    depth as i64,
-                                );
+                                mcast_obs::trace::instant("sched.queue_depth", depth as i64);
                             }
                         } else {
                             if let Some(c) = counters {
@@ -529,15 +529,16 @@ pub fn run_suite(ids: &[String], cfg: &RunConfig, policy: &SchedPolicy) -> Suite
                                 task.attempts,
                                 failure.payload
                             );
-                            outcomes.lock().unwrap_or_else(|e| e.into_inner()).push(
-                                TaskOutcome {
+                            outcomes
+                                .lock()
+                                .unwrap_or_else(|e| e.into_inner())
+                                .push(TaskOutcome {
                                     label: task.label,
                                     experiment: task.experiment,
                                     status: TaskStatus::Quarantined,
                                     attempts: task.attempts,
                                     failure: Some(failure),
-                                },
-                            );
+                                });
                         }
                     }
                 }
@@ -591,7 +592,10 @@ pub fn run_suite(ids: &[String], cfg: &RunConfig, policy: &SchedPolicy) -> Suite
                 _ => task_ok(&outcomes, &|_| true),
             };
         if !deps_ok {
-            mcast_obs::warn!("sched", "skipping {id}: dependencies quarantined or aborted");
+            mcast_obs::warn!(
+                "sched",
+                "skipping {id}: dependencies quarantined or aborted"
+            );
             outcomes.push(TaskOutcome {
                 label: id.clone(),
                 experiment: id.clone(),
@@ -708,7 +712,10 @@ mod tests {
             threads: 2,
             ..RunConfig::fast()
         };
-        let ids: Vec<String> = ["fig2", "fig3", "fig5"].iter().map(|s| s.to_string()).collect();
+        let ids: Vec<String> = ["fig2", "fig3", "fig5"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let run = run_suite(&ids, &cfg, &SchedPolicy::default());
         assert_eq!(run.status, SuiteStatus::Complete);
         assert_eq!(run.reports.len(), 3);

@@ -212,7 +212,9 @@ impl Backend for ServeBackend {
         // Hit = the bound store already holds this exact key; the curve
         // drivers below will then serve it from disk without measuring.
         let cache_hit = match mcast_store::active() {
-            Some(handle) => handle.cache.contains(&curve_key(&r.graph, &r.xs, &r.mcfg, r.kind)),
+            Some(handle) => handle
+                .cache
+                .contains(&curve_key(&r.graph, &r.xs, &r.mcfg, r.kind)),
             None => false,
         };
         progress(format!(

@@ -144,9 +144,7 @@ pub fn run(id: &str, cfg: &RunConfig) -> Option<Report> {
             .cache
             .get(&key, ObjectKind::Report)
             .and_then(|bytes| {
-                let report = std::str::from_utf8(&bytes)
-                    .ok()
-                    .and_then(Report::from_json);
+                let report = std::str::from_utf8(&bytes).ok().and_then(Report::from_json);
                 if report.is_none() {
                     mcast_obs::warn!("store", "cached report {key} failed to decode; re-running");
                 }
@@ -274,7 +272,10 @@ mod tests {
         );
         let text = err.to_string();
         assert!(text.contains("unknown experiment `fig99`"), "{text}");
-        assert!(text.contains("table1") && text.contains("verdict"), "{text}");
+        assert!(
+            text.contains("table1") && text.contains("verdict"),
+            "{text}"
+        );
         assert!(resolve_ids::<&str>(&[]).unwrap().is_empty());
     }
 

@@ -237,7 +237,12 @@ fn topo_pack_verify_unpack_round_trips() {
     let unpacked = dir.join("out.txt");
 
     let out = mcs()
-        .args(["topo", "pack", edges.to_str().unwrap(), packed.to_str().unwrap()])
+        .args([
+            "topo",
+            "pack",
+            edges.to_str().unwrap(),
+            packed.to_str().unwrap(),
+        ])
         .output()
         .unwrap();
     assert!(
@@ -245,7 +250,9 @@ fn topo_pack_verify_unpack_round_trips() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8(out.stdout).unwrap().contains("4 nodes / 5 edges"));
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("4 nodes / 5 edges"));
 
     let out = mcs()
         .args(["topo", "verify", packed.to_str().unwrap()])
@@ -257,14 +264,24 @@ fn topo_pack_verify_unpack_round_trips() {
     assert!(stdout.contains("4 nodes"));
 
     let out = mcs()
-        .args(["topo", "unpack", packed.to_str().unwrap(), unpacked.to_str().unwrap()])
+        .args([
+            "topo",
+            "unpack",
+            packed.to_str().unwrap(),
+            unpacked.to_str().unwrap(),
+        ])
         .output()
         .unwrap();
     assert!(out.status.success());
     // Pack(unpack(x)) is a fixed point: same graph, same bytes.
     let repacked = dir.join("g2.mct");
     let out = mcs()
-        .args(["topo", "pack", unpacked.to_str().unwrap(), repacked.to_str().unwrap()])
+        .args([
+            "topo",
+            "pack",
+            unpacked.to_str().unwrap(),
+            repacked.to_str().unwrap(),
+        ])
         .output()
         .unwrap();
     assert!(out.status.success());
@@ -298,11 +315,21 @@ fn second_cached_run_hits_at_least_95_percent_and_is_byte_identical() {
     let run = |out_dir: &std::path::Path, metrics: &std::path::Path| {
         let out = mcs()
             .args([
-                "--fast", "--seed", "5", "--threads", "2", "--quiet",
-                "--cache-dir", cache.to_str().unwrap(),
-                "--out", out_dir.to_str().unwrap(),
-                "--metrics", metrics.to_str().unwrap(),
-                "--only", "fig1,fig2,fig8", "suite",
+                "--fast",
+                "--seed",
+                "5",
+                "--threads",
+                "2",
+                "--quiet",
+                "--cache-dir",
+                cache.to_str().unwrap(),
+                "--out",
+                out_dir.to_str().unwrap(),
+                "--metrics",
+                metrics.to_str().unwrap(),
+                "--only",
+                "fig1,fig2,fig8",
+                "suite",
             ])
             .output()
             .unwrap();
@@ -329,7 +356,10 @@ fn second_cached_run_hits_at_least_95_percent_and_is_byte_identical() {
     let (hits, misses) = (counter("store.cache.hit"), counter("store.cache.miss"));
     assert!(hits > 0, "second run recorded no cache hits: {text}");
     let rate = hits as f64 / (hits + misses) as f64;
-    assert!(rate >= 0.95, "hit rate {rate:.3} ({hits} hits / {misses} misses)");
+    assert!(
+        rate >= 0.95,
+        "hit rate {rate:.3} ({hits} hits / {misses} misses)"
+    );
 
     // ... and reproduces every artefact byte for byte.
     for entry in std::fs::read_dir(&out1).unwrap() {
@@ -352,7 +382,10 @@ fn second_cached_run_hits_at_least_95_percent_and_is_byte_identical() {
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(!stdout.contains("0 object(s)"), "ls: {stdout}");
-    assert!(stdout.contains("report"), "ls should show report objects: {stdout}");
+    assert!(
+        stdout.contains("report"),
+        "ls should show report objects: {stdout}"
+    );
     let out = cache_cmd("verify");
     assert!(out.status.success());
     assert!(String::from_utf8(out.stdout).unwrap().contains("0 corrupt"));
@@ -370,7 +403,10 @@ fn second_cached_run_hits_at_least_95_percent_and_is_byte_identical() {
     bytes[last] ^= 0xff;
     std::fs::write(victim, &bytes).unwrap();
     let out = cache_cmd("verify");
-    assert!(!out.status.success(), "verify must fail on a corrupt object");
+    assert!(
+        !out.status.success(),
+        "verify must fail on a corrupt object"
+    );
     let out = cache_cmd("gc");
     assert!(out.status.success());
     assert!(String::from_utf8(out.stdout).unwrap().contains("removed 1"));
@@ -389,7 +425,9 @@ fn cache_gc_dry_run_lists_evictions_without_deleting() {
     let corrupt_key_hex;
     {
         let cache = mcast_store::DiskCache::open(&cache_dir).unwrap();
-        let key = mcast_store::KeyBuilder::new("cli-test").u64("x", 7).finish();
+        let key = mcast_store::KeyBuilder::new("cli-test")
+            .u64("x", 7)
+            .finish();
         corrupt_key_hex = key.hex();
         cache
             .put(&key, mcast_store::ObjectKind::Curve, b"soon to be corrupt")
@@ -421,7 +459,10 @@ fn cache_gc_dry_run_lists_evictions_without_deleting() {
     assert!(stdout.contains("temp-litter"), "{stdout}");
     assert!(stdout.contains(&corrupt_key_hex), "{stdout}");
     assert_eq!(walk_mco(&cache_dir.join("objects")).len(), 1, "object kept");
-    assert!(cache_dir.join("objects").join("litter.tmp").exists(), "litter kept");
+    assert!(
+        cache_dir.join("objects").join("litter.tmp").exists(),
+        "litter kept"
+    );
 
     // The real gc then removes exactly what the plan listed.
     let out = cache_cmd(&["gc"]);
@@ -564,7 +605,12 @@ fn keep_going_suite_survives_an_injected_panic_and_resumes() {
     // Resume with the fault gone: only the failed groups re-measure and
     // the suite completes, reproducing the baseline bytes.
     let mut cmd = common(&out_c);
-    cmd.args(["--quiet", "--cache-dir", cache.to_str().unwrap(), "--resume"]);
+    cmd.args([
+        "--quiet",
+        "--cache-dir",
+        cache.to_str().unwrap(),
+        "--resume",
+    ]);
     let out = cmd.output().unwrap();
     assert!(
         out.status.success(),

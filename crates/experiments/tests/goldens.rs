@@ -26,12 +26,7 @@ fn assert_canonical_eq(got: &str, want: &str, name: &str) {
         return;
     }
     for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(
-            g,
-            w,
-            "{name}: first divergence at line {} (1-based)",
-            i + 1
-        );
+        assert_eq!(g, w, "{name}: first divergence at line {} (1-based)", i + 1);
     }
     panic!(
         "{name}: line counts differ: got {}, golden {}",
@@ -84,6 +79,10 @@ fn fig6_report_is_byte_identical_in_every_kernel_mode() {
         set_lane_limit(Some(width));
         let report = fig6::run(&cfg());
         set_lane_limit(None);
-        assert_canonical_eq(&report_canonical(&report), golden, &format!("width-{width}"));
+        assert_canonical_eq(
+            &report_canonical(&report),
+            golden,
+            &format!("width-{width}"),
+        );
     }
 }

@@ -66,7 +66,14 @@ fn killed_run_resumes_to_bit_identical_artifacts() {
     let started = Instant::now();
     let ref_out = dir("reference");
     let mut args = vec![
-        "--fast", "--seed", "7", "--threads", "1", "--quiet", "--out", &*s(&ref_out),
+        "--fast",
+        "--seed",
+        "7",
+        "--threads",
+        "1",
+        "--quiet",
+        "--out",
+        &*s(&ref_out),
     ]
     .into_iter()
     .map(String::from)
@@ -79,8 +86,16 @@ fn killed_run_resumes_to_bit_identical_artifacts() {
     let killed_out = dir("killed");
     let mut child = mcs()
         .args([
-            "--fast", "--seed", "7", "--threads", "2", "--quiet",
-            "--cache-dir", &s(&cache), "--out", &s(&killed_out),
+            "--fast",
+            "--seed",
+            "7",
+            "--threads",
+            "2",
+            "--quiet",
+            "--cache-dir",
+            &s(&cache),
+            "--out",
+            &s(&killed_out),
         ])
         .args(FIGS)
         .spawn()
@@ -93,8 +108,17 @@ fn killed_run_resumes_to_bit_identical_artifacts() {
     // whatever mixture of cache objects and checkpoints the kill left.
     let resumed_out = dir("resumed");
     let mut resume_args = vec![
-        "--fast", "--seed", "7", "--threads", "3", "--quiet",
-        "--cache-dir", &*s(&cache), "--resume", "--out", &*s(&resumed_out),
+        "--fast",
+        "--seed",
+        "7",
+        "--threads",
+        "3",
+        "--quiet",
+        "--cache-dir",
+        &*s(&cache),
+        "--resume",
+        "--out",
+        &*s(&resumed_out),
     ]
     .into_iter()
     .map(String::from)
@@ -112,8 +136,16 @@ fn killed_run_resumes_to_bit_identical_artifacts() {
     // and reproduces every artefact — including JSON — byte for byte.
     let rerun_out = dir("rerun");
     let mut rerun_args = vec![
-        "--fast", "--seed", "7", "--threads", "3", "--quiet",
-        "--cache-dir", &*s(&cache), "--out", &*s(&rerun_out),
+        "--fast",
+        "--seed",
+        "7",
+        "--threads",
+        "3",
+        "--quiet",
+        "--cache-dir",
+        &*s(&cache),
+        "--out",
+        &*s(&rerun_out),
     ]
     .into_iter()
     .map(String::from)

@@ -93,7 +93,11 @@ fn fail_fast_aborts_the_suite() {
         ..RunConfig::fast()
     };
     fault::arm(Some("fig2"), None, 1);
-    let run = run_suite(&ids(&["fig2", "fig3", "fig5"]), &seq, &SchedPolicy::default());
+    let run = run_suite(
+        &ids(&["fig2", "fig3", "fig5"]),
+        &seq,
+        &SchedPolicy::default(),
+    );
     fault::disarm();
 
     assert_eq!(run.status, SuiteStatus::Failed);
@@ -186,7 +190,11 @@ fn faulted_churn_curve_quarantines_churn_only() {
         failure.groups[0].payload
     );
     // Every surviving point still ran before the error was reported.
-    assert!(failure.payload.contains("5 completed"), "{}", failure.payload);
+    assert!(
+        failure.payload.contains("5 completed"),
+        "{}",
+        failure.payload
+    );
 
     assert_eq!(run.reports.len(), 1, "fig2 still completed");
     let sequential = suite::run("fig2", &cfg()).expect("registered id");

@@ -22,10 +22,7 @@ impl Daemon {
     /// Boot `mcs serve` on an ephemeral port with a cache under a fresh
     /// temp dir; extra flags are appended verbatim.
     fn boot(tag: &str, extra: &[&str]) -> Daemon {
-        let dir = std::env::temp_dir().join(format!(
-            "mcs-serve-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("mcs-serve-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let addr_file = dir.join("addr.txt");
@@ -61,7 +58,10 @@ impl Daemon {
                     break trimmed;
                 }
             }
-            assert!(Instant::now() < deadline, "daemon never wrote its addr file");
+            assert!(
+                Instant::now() < deadline,
+                "daemon never wrote its addr file"
+            );
             std::thread::sleep(Duration::from_millis(25));
         };
         Daemon { child, addr, dir }
@@ -75,7 +75,10 @@ impl Daemon {
     /// exit by itself.
     fn shutdown_and_wait(mut self) {
         let resp = http(&self.addr, "POST", "/v1/admin/shutdown", &[], b"");
-        assert_eq!(resp.status, 200, "shutdown endpoint answers before draining");
+        assert_eq!(
+            resp.status, 200,
+            "shutdown endpoint answers before draining"
+        );
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             match self.child.try_wait().expect("try_wait works") {
@@ -206,7 +209,11 @@ fn concurrent_identical_queries_coalesce_to_one_execution() {
     let stats = mcast_obs::json::parse(std::str::from_utf8(&stats_resp.body).unwrap()).unwrap();
     assert_eq!(counter(&stats, "serve.exec"), 1, "exactly one execution");
     assert_eq!(counter(&stats, "serve.cache.miss"), 1, "one cold miss");
-    assert_eq!(counter(&stats, "serve.cache.hit"), 7, "seven coalesced hits");
+    assert_eq!(
+        counter(&stats, "serve.cache.hit"),
+        7,
+        "seven coalesced hits"
+    );
 
     // A ninth, later query is a warm hit with the same bytes, and says
     // so out of band (the X-Cache header, never the body).
@@ -230,8 +237,9 @@ fn quota_exhaustion_yields_structured_429() {
     // same client must throttle; a different client is unaffected.
     let daemon = Daemon::boot("quota", &["--quota-rate", "0.001", "--quota-burst", "2"]);
     let id = upload_arpa(&daemon.addr);
-    let query =
-        format!("{{\"topology\":\"{id}\",\"seed\":1,\"sources\":2,\"receiver_sets\":2,\"xs\":[1,2]}}");
+    let query = format!(
+        "{{\"topology\":\"{id}\",\"seed\":1,\"sources\":2,\"receiver_sets\":2,\"xs\":[1,2]}}"
+    );
     for _ in 0..2 {
         let resp = http(
             &daemon.addr,
@@ -253,7 +261,10 @@ fn quota_exhaustion_yields_structured_429() {
     assert!(throttled.header("retry-after").is_some(), "Retry-After set");
     let v = mcast_obs::json::parse(std::str::from_utf8(&throttled.body).unwrap()).unwrap();
     let err = v.get("error").expect("structured error payload");
-    assert_eq!(err.get("code").and_then(|c| c.as_str()), Some("quota_exhausted"));
+    assert_eq!(
+        err.get("code").and_then(|c| c.as_str()),
+        Some("quota_exhausted")
+    );
     assert_eq!(err.get("status").and_then(|s| s.as_u64()), Some(429));
     assert!(err.get("retry_after_ms").and_then(|r| r.as_u64()).is_some());
 
@@ -294,11 +305,18 @@ fn concurrent_cold_queries_get_their_own_run_meta_sidecars() {
         .map(|e| e.unwrap().path())
         .collect();
     metas.sort();
-    assert_eq!(metas.len(), 2, "one sidecar per executed request: {metas:?}");
+    assert_eq!(
+        metas.len(),
+        2,
+        "one sidecar per executed request: {metas:?}"
+    );
     let mut request_ids = Vec::new();
     for path in &metas {
         let name = path.file_name().unwrap().to_str().unwrap();
-        assert!(name.starts_with("req-") && name.ends_with(".json"), "{name}");
+        assert!(
+            name.starts_with("req-") && name.ends_with(".json"),
+            "{name}"
+        );
         let v = mcast_obs::json::parse(&std::fs::read_to_string(path).unwrap())
             .expect("sidecar is valid JSON");
         assert_eq!(v.get("mode").and_then(|m| m.as_str()), Some("serve"));
@@ -323,7 +341,9 @@ fn bad_queries_get_structured_errors() {
     assert_eq!(resp.status, 404);
     let v = mcast_obs::json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
     assert_eq!(
-        v.get("error").and_then(|e| e.get("code")).and_then(|c| c.as_str()),
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(|c| c.as_str()),
         Some("unknown_topology")
     );
     // Garbage upload → 400 invalid_topology.
@@ -337,7 +357,9 @@ fn bad_queries_get_structured_errors() {
     assert_eq!(resp.status, 400);
     let v = mcast_obs::json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
     assert_eq!(
-        v.get("error").and_then(|e| e.get("code")).and_then(|c| c.as_str()),
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(|c| c.as_str()),
         Some("invalid_topology")
     );
     daemon.shutdown_and_wait();
@@ -352,8 +374,10 @@ fn streamed_queries_emit_progress_then_the_canonical_body() {
         "POST",
         "/v1/measure",
         &[],
-        format!("{{\"topology\":\"{id}\",\"seed\":9,\"sources\":2,\"receiver_sets\":2,\"xs\":[1,2]}}")
-            .as_bytes(),
+        format!(
+            "{{\"topology\":\"{id}\",\"seed\":9,\"sources\":2,\"receiver_sets\":2,\"xs\":[1,2]}}"
+        )
+        .as_bytes(),
     );
     assert_eq!(unary.status, 200);
     let streamed = http(

@@ -75,11 +75,18 @@ fn traced_suite_produces_reportable_trace_and_run_meta() {
     // run-meta.json carries the real wall clock and points at the trace.
     let meta_text = std::fs::read_to_string(tdir.join("run-meta.json")).unwrap();
     let meta = mcast_obs::json::parse(&meta_text).unwrap();
-    assert!(meta.get("cmd").and_then(|v| v.as_str()).unwrap().contains("suite"));
+    assert!(meta
+        .get("cmd")
+        .and_then(|v| v.as_str())
+        .unwrap()
+        .contains("suite"));
     assert!(meta.get("duration_ms").and_then(|v| v.as_f64()).unwrap() > 0.0);
     assert_eq!(meta.get("exit").and_then(|v| v.as_u64()), Some(0));
     assert_eq!(meta.get("threads").and_then(|v| v.as_u64()), Some(2));
-    assert_eq!(meta.get("alloc_counting").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(
+        meta.get("alloc_counting").and_then(|v| v.as_bool()),
+        Some(true)
+    );
 
     // `mcs obs report` renders the summary table from the same file.
     let trace_path = tdir.join("trace.jsonl");

@@ -408,12 +408,20 @@ impl TraceSummary {
             out.push_str(": ");
             v.write(&mut out);
         }
-        let _ = write!(out, " }},\n  \"duration_ns\": {},\n  \"lanes\": [", self.duration_ns);
+        let _ = write!(
+            out,
+            " }},\n  \"duration_ns\": {},\n  \"lanes\": [",
+            self.duration_ns
+        );
         for (i, l) in self.lanes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    {{\"tid\": {}, \"busy_ns\": {}}}", l.tid, l.busy_ns);
+            let _ = write!(
+                out,
+                "\n    {{\"tid\": {}, \"busy_ns\": {}}}",
+                l.tid, l.busy_ns
+            );
         }
         out.push_str("\n  ],\n  \"spans\": {");
         for (i, (path, s)) in self.spans.iter().enumerate() {
@@ -606,7 +614,10 @@ pub fn diff(a: &TraceSummary, b: &TraceSummary, budget: &Budget) -> DiffReport {
                     0.0
                 };
                 let moved_ns = sa.wall_ns.abs_diff(sb.wall_ns);
-                (Some(delta), delta.abs() > budget_pct && moved_ns >= floor_ns)
+                (
+                    Some(delta),
+                    delta.abs() > budget_pct && moved_ns >= floor_ns,
+                )
             }
             _ => (None, false),
         };
@@ -712,7 +723,11 @@ pub fn diff_text(report: &DiffReport, budget: &Budget) -> String {
     } else {
         "raw wall time"
     };
-    let _ = writeln!(out, "diff metric: {metric} (floor {} ms)", budget.min_wall_ms);
+    let _ = writeln!(
+        out,
+        "diff metric: {metric} (floor {} ms)",
+        budget.min_wall_ms
+    );
     let _ = writeln!(
         out,
         "{:<44} {:>10} {:>10} {:>9} {:>8}  verdict",
@@ -903,7 +918,11 @@ mod tests {
         };
         let t = ParsedTrace {
             meta: vec![],
-            spans: vec![span("sched/t", 0, 100), span("t", 5, 95), span("t/inner", 10, 40)],
+            spans: vec![
+                span("sched/t", 0, 100),
+                span("t", 5, 95),
+                span("t/inner", 10, 40),
+            ],
             instants: vec![],
         };
         let s = summarize(&t);
@@ -911,7 +930,11 @@ mod tests {
         assert_eq!(s.spans["t"].self_ns, ms(60));
         assert_eq!(s.spans["t/inner"].self_ns, ms(30));
         assert_eq!(s.lanes.len(), 1);
-        assert_eq!(s.lanes[0].busy_ns, ms(100), "busy = interval union, ≤ duration");
+        assert_eq!(
+            s.lanes[0].busy_ns,
+            ms(100),
+            "busy = interval union, ≤ duration"
+        );
         assert_eq!(s.total_self_ns(), ms(100));
     }
 
@@ -957,7 +980,14 @@ mod tests {
         let report = diff(&s, &s, &Budget::default());
         assert_eq!(report.breaches, 0);
         assert!(report.rows.iter().all(|r| !r.breach));
-        assert_eq!(report.rows.iter().filter(|r| r.delta_pct == Some(0.0)).count(), report.rows.len());
+        assert_eq!(
+            report
+                .rows
+                .iter()
+                .filter(|r| r.delta_pct == Some(0.0))
+                .count(),
+            report.rows.len()
+        );
     }
 
     #[test]

@@ -60,13 +60,11 @@ impl Value {
             Value::Arr(items) => write_seq(out, ('[', ']'), items, indent, |out, v, ind| {
                 v.write_indented(out, ind)
             }),
-            Value::Obj(fields) => {
-                write_seq(out, ('{', '}'), fields, indent, |out, (k, v), ind| {
-                    write_str(out, k);
-                    out.push_str(if ind.is_some() { ": " } else { ":" });
-                    v.write_indented(out, ind);
-                })
-            }
+            Value::Obj(fields) => write_seq(out, ('{', '}'), fields, indent, |out, (k, v), ind| {
+                write_str(out, k);
+                out.push_str(if ind.is_some() { ": " } else { ":" });
+                v.write_indented(out, ind);
+            }),
         }
     }
 
@@ -516,7 +514,15 @@ mod tests {
         assert_eq!(float(0.000001), "1e-6");
         assert_eq!(float(1.25e-7), "1.25e-7");
         assert_eq!(float(-0.0), "-0.0");
-        for x in [1.0, 0.0, 1e16, 3.0e-7, 0.1 + 0.2, f64::MAX, f64::MIN_POSITIVE] {
+        for x in [
+            1.0,
+            0.0,
+            1e16,
+            3.0e-7,
+            0.1 + 0.2,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
             assert_eq!(parse(&float(x)).unwrap(), Value::F64(x), "{x}");
         }
     }
@@ -565,14 +571,14 @@ mod tests {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse(" true ").unwrap(), Value::Bool(true));
         assert_eq!(parse("42").unwrap(), Value::U64(42));
-        assert_eq!(
-            parse("18446744073709551615").unwrap(),
-            Value::U64(u64::MAX)
-        );
+        assert_eq!(parse("18446744073709551615").unwrap(), Value::U64(u64::MAX));
         assert_eq!(parse("-7").unwrap(), Value::I64(-7));
         assert_eq!(parse("1.5").unwrap(), Value::F64(1.5));
         assert_eq!(parse("1e3").unwrap(), Value::F64(1000.0));
-        assert_eq!(parse("\"hi\\n\\\"there\\\"\"").unwrap().as_str(), Some("hi\n\"there\""));
+        assert_eq!(
+            parse("\"hi\\n\\\"there\\\"\"").unwrap().as_str(),
+            Some("hi\n\"there\"")
+        );
         assert_eq!(parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
     }
 

@@ -303,7 +303,11 @@ impl TraceData {
                 TraceEvent::Instant(i) => {
                     out.push_str("{\"ev\":\"instant\",\"name\":");
                     json::write_str(&mut out, &i.name);
-                    let _ = writeln!(out, ",\"tid\":{},\"t\":{},\"v\":{}}}", i.tid, i.t_ns, i.value);
+                    let _ = writeln!(
+                        out,
+                        ",\"tid\":{},\"t\":{},\"v\":{}}}",
+                        i.tid, i.t_ns, i.value
+                    );
                 }
             }
         }
@@ -346,7 +350,10 @@ mod tests {
         let data = stop().expect("recorder was active");
         crate::set_enabled(false);
         let spans = spans(&data);
-        let roots: Vec<_> = spans.iter().filter(|s| s.path == "test-trace-root").collect();
+        let roots: Vec<_> = spans
+            .iter()
+            .filter(|s| s.path == "test-trace-root")
+            .collect();
         assert_eq!(roots.len(), 2, "one event per occurrence");
         let child = spans
             .iter()

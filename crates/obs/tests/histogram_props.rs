@@ -22,7 +22,10 @@ fn bucket_bounds(lower: u64) -> (u64, u64) {
     if lower == 0 {
         (0, 1)
     } else {
-        (lower, lower.checked_mul(2).map(|x| x - 1).unwrap_or(u64::MAX))
+        (
+            lower,
+            lower.checked_mul(2).map(|x| x - 1).unwrap_or(u64::MAX),
+        )
     }
 }
 

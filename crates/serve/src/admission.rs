@@ -53,7 +53,11 @@ impl<T> BoundedQueue<T> {
 
     /// Current depth.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("admission mutex poisoned").items.len()
+        self.state
+            .lock()
+            .expect("admission mutex poisoned")
+            .items
+            .len()
     }
 
     /// True when nothing is queued.

@@ -49,7 +49,5 @@ pub use protocol::{
 };
 pub use quota::{QuotaConfig, QuotaDecision, Quotas};
 pub use registry::{Flights, TopologyRegistry};
-pub use router::{
-    Backend, BackendError, GroupFailureInfo, MeasureOutput, MeasureSpec, QueryKind,
-};
+pub use router::{Backend, BackendError, GroupFailureInfo, MeasureOutput, MeasureSpec, QueryKind};
 pub use server::{serve, ServeConfig, ServerHandle};

@@ -125,7 +125,10 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::BadContentLength => write!(f, "content-length is not an integer"),
             ProtocolError::BodyTooLarge { declared, limit } => {
-                write!(f, "declared body of {declared} bytes exceeds the {limit}-byte limit")
+                write!(
+                    f,
+                    "declared body of {declared} bytes exceeds the {limit}-byte limit"
+                )
             }
             ProtocolError::UnsupportedTransferEncoding => {
                 write!(f, "transfer-encoding is not supported on requests")
@@ -171,8 +174,7 @@ impl RequestParser {
             // Find CRLFCRLF, rescanning only the suffix that could
             // newly contain it.
             let from = self.buf.len().saturating_sub(bytes.len() + 3);
-            let Some(end) = find_subslice(&self.buf[from..], b"\r\n\r\n").map(|i| from + i)
-            else {
+            let Some(end) = find_subslice(&self.buf[from..], b"\r\n\r\n").map(|i| from + i) else {
                 if self.buf.len() > MAX_HEAD_BYTES {
                     return Err(ProtocolError::HeadTooLarge);
                 }
@@ -218,7 +220,10 @@ fn parse_head(head: &str, max_body: usize) -> Result<(Request, usize), ProtocolE
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or(ProtocolError::BadRequestLine)?;
     let mut parts = request_line.split(' ');
-    let method = parts.next().filter(|m| !m.is_empty()).ok_or(ProtocolError::BadRequestLine)?;
+    let method = parts
+        .next()
+        .filter(|m| !m.is_empty())
+        .ok_or(ProtocolError::BadRequestLine)?;
     let target = parts.next().ok_or(ProtocolError::BadRequestLine)?;
     let version = parts.next().ok_or(ProtocolError::BadRequestLine)?;
     if parts.next().is_some() || !version.starts_with("HTTP/1.") {
@@ -262,7 +267,9 @@ fn parse_head(head: &str, max_body: usize) -> Result<(Request, usize), ProtocolE
         return Err(ProtocolError::UnsupportedTransferEncoding);
     }
     let body_len = match request.header("content-length") {
-        Some(v) => v.parse::<usize>().map_err(|_| ProtocolError::BadContentLength)?,
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| ProtocolError::BadContentLength)?,
         None => 0,
     };
     if body_len > max_body {
@@ -406,8 +413,7 @@ impl ParsedResponse {
 /// close). Handles sized and chunked bodies.
 pub fn parse_response(bytes: &[u8]) -> Result<ParsedResponse, ProtocolError> {
     let head_end = find_subslice(bytes, b"\r\n\r\n").ok_or(ProtocolError::UnexpectedEof)?;
-    let head =
-        std::str::from_utf8(&bytes[..head_end]).map_err(|_| ProtocolError::BadHeader)?;
+    let head = std::str::from_utf8(&bytes[..head_end]).map_err(|_| ProtocolError::BadHeader)?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or(ProtocolError::BadRequestLine)?;
     let mut parts = status_line.splitn(3, ' ');
@@ -460,7 +466,10 @@ pub fn parse_response(bytes: &[u8]) -> Result<ParsedResponse, ProtocolError> {
         let len = headers
             .iter()
             .find(|(k, _)| k == "content-length")
-            .map(|(_, v)| v.parse::<usize>().map_err(|_| ProtocolError::BadContentLength))
+            .map(|(_, v)| {
+                v.parse::<usize>()
+                    .map_err(|_| ProtocolError::BadContentLength)
+            })
             .transpose()?
             .unwrap_or(after_head.len());
         let body = after_head.get(..len).ok_or(ProtocolError::UnexpectedEof)?;

@@ -132,11 +132,10 @@ impl TopologyRegistry {
                 let text = std::str::from_utf8(body).map_err(|_| RegistryError {
                     message: "edge-list body is not UTF-8".to_string(),
                 })?;
-                let graph = mcast_topology::io::parse_edge_list(text).map_err(|e| {
-                    RegistryError {
+                let graph =
+                    mcast_topology::io::parse_edge_list(text).map_err(|e| RegistryError {
                         message: format!("invalid edge list: {e}"),
-                    }
-                })?;
+                    })?;
                 mcast_store::encode_graph(&graph)
             }
             other => {
@@ -362,7 +361,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let id = {
             let reg = TopologyRegistry::new(Some(dir.clone())).unwrap();
-            reg.register("edge-list", triangle_edge_list()).unwrap().0.id.clone()
+            reg.register("edge-list", triangle_edge_list())
+                .unwrap()
+                .0
+                .id
+                .clone()
         };
         let reloaded = TopologyRegistry::new(Some(dir.clone())).unwrap();
         assert_eq!(reloaded.list(), vec![(id, 3, 3)]);
@@ -401,7 +404,10 @@ mod tests {
                 cache_hit: false,
             }),
         );
-        assert!(matches!(flights.join("k"), FlightRole::Leader), "failure must be retryable");
+        assert!(
+            matches!(flights.join("k"), FlightRole::Leader),
+            "failure must be retryable"
+        );
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //! the server owns protocol, admission, quotas and coalescing; the
 //! backend owns keys, cache lookups and scheduler execution.
 
-use crate::protocol::{
-    chunk, chunked_head, error_body, unary_response, Request, CHUNK_END,
-};
+use crate::protocol::{chunk, chunked_head, error_body, unary_response, Request, CHUNK_END};
 use crate::quota::{QuotaDecision, Quotas};
 use crate::registry::{FlightRole, Flights, Outcome, TopologyEntry, TopologyRegistry};
 use mcast_obs::json::{self, write_str, Value};
@@ -264,7 +262,9 @@ fn send_error(
 
 /// The client id a request runs under.
 pub fn client_id(req: &Request) -> &str {
-    req.header("x-client-id").filter(|s| !s.is_empty()).unwrap_or("anonymous")
+    req.header("x-client-id")
+        .filter(|s| !s.is_empty())
+        .unwrap_or("anonymous")
 }
 
 /// Route one parsed request and write the full response.
@@ -301,7 +301,11 @@ fn handle_health(ctx: &Ctx, out: &mut dyn Write) -> std::io::Result<ResponseInfo
     let mut body = String::from("{\"ok\":true,\"uptime_ms\":");
     body.push_str(&(ctx.started.elapsed().as_millis() as u64).to_string());
     body.push_str(",\"draining\":");
-    body.push_str(if ctx.shutdown.is_triggered() { "true" } else { "false" });
+    body.push_str(if ctx.shutdown.is_triggered() {
+        "true"
+    } else {
+        "false"
+    });
     body.push('}');
     send_unary(out, 200, body.as_bytes(), &[])
 }
@@ -407,14 +411,19 @@ fn handle_shutdown(ctx: &Ctx, out: &mut dyn Write) -> std::io::Result<ResponseIn
 }
 
 /// Parse the measurement request body into a spec (minus request id).
-fn parse_measure_spec(ctx: &Ctx, body: &[u8]) -> Result<(MeasureSpec, bool), (u16, &'static str, String)> {
+fn parse_measure_spec(
+    ctx: &Ctx,
+    body: &[u8],
+) -> Result<(MeasureSpec, bool), (u16, &'static str, String)> {
     let text = std::str::from_utf8(body)
         .map_err(|_| (400u16, "bad_request", "body is not UTF-8".to_string()))?;
-    let v = json::parse(text).map_err(|e| (400, "bad_request", format!("body is not JSON: {e}")))?;
-    let topo_id = v
-        .get("topology")
-        .and_then(Value::as_str)
-        .ok_or((400, "bad_request", "missing string field `topology`".to_string()))?;
+    let v =
+        json::parse(text).map_err(|e| (400, "bad_request", format!("body is not JSON: {e}")))?;
+    let topo_id = v.get("topology").and_then(Value::as_str).ok_or((
+        400,
+        "bad_request",
+        "missing string field `topology`".to_string(),
+    ))?;
     let topology = ctx.registry.get(topo_id).ok_or((
         404,
         "unknown_topology",
@@ -423,9 +432,9 @@ fn parse_measure_spec(ctx: &Ctx, body: &[u8]) -> Result<(MeasureSpec, bool), (u1
     let kind = match v.get("kind") {
         None => QueryKind::Ratio,
         Some(k) => {
-            let name = k
-                .as_str()
-                .ok_or((400, "bad_request", "`kind` must be a string".to_string()))?;
+            let name =
+                k.as_str()
+                    .ok_or((400, "bad_request", "`kind` must be a string".to_string()))?;
             QueryKind::parse(name).ok_or((
                 400,
                 "bad_request",
@@ -436,9 +445,11 @@ fn parse_measure_spec(ctx: &Ctx, body: &[u8]) -> Result<(MeasureSpec, bool), (u1
     let uint = |field: &str, default: u64| -> Result<u64, (u16, &'static str, String)> {
         match v.get(field) {
             None => Ok(default),
-            Some(x) => x
-                .as_u64()
-                .ok_or((400, "bad_request", format!("`{field}` must be a non-negative integer"))),
+            Some(x) => x.as_u64().ok_or((
+                400,
+                "bad_request",
+                format!("`{field}` must be a non-negative integer"),
+            )),
         }
     };
     let seed = uint("seed", 1)?;
@@ -454,9 +465,9 @@ fn parse_measure_spec(ctx: &Ctx, body: &[u8]) -> Result<(MeasureSpec, bool), (u1
     let xs = match v.get("xs") {
         None => None,
         Some(arr) => {
-            let items = arr
-                .as_arr()
-                .ok_or((400, "bad_request", "`xs` must be an array".to_string()))?;
+            let items =
+                arr.as_arr()
+                    .ok_or((400, "bad_request", "`xs` must be an array".to_string()))?;
             let mut xs = Vec::with_capacity(items.len());
             for item in items {
                 let m = item.as_u64().filter(|&m| m >= 1).ok_or((

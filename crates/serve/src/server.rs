@@ -104,7 +104,10 @@ impl RequestLog {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
         Ok(Self {
             file: Mutex::new(std::io::BufWriter::new(file)),
         })
@@ -177,37 +180,39 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn Backend>) -> std::io::Result<
     let acceptor = {
         let queue = Arc::clone(&queue);
         let shutdown = Arc::clone(&shutdown);
-        std::thread::Builder::new().name("serve-acceptor".to_string()).spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.is_triggered() {
-                    break;
+        std::thread::Builder::new()
+            .name("serve-acceptor".to_string())
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if shutdown.is_triggered() {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    mcast_obs::counter("serve.request.accepted").add(1);
+                    if let Err((mut stream, why)) = queue.try_push(stream) {
+                        // Load-shed at the door: the acceptor never blocks
+                        // on request work, it answers 503 inline and moves
+                        // on to the next connection.
+                        mcast_obs::counter("serve.request.shed").add(1);
+                        let (code, message) = match why {
+                            AdmissionError::Full => {
+                                ("overloaded", "admission queue is full; retry shortly")
+                            }
+                            AdmissionError::Closed => ("draining", "server is shutting down"),
+                        };
+                        let body = error_body(503, code, message, &[]);
+                        let _ = stream.write_all(&unary_response(
+                            503,
+                            "application/json",
+                            body.as_bytes(),
+                            &[("Retry-After", "1")],
+                        ));
+                        continue;
+                    }
                 }
-                let Ok(stream) = stream else { continue };
-                mcast_obs::counter("serve.request.accepted").add(1);
-                if let Err((mut stream, why)) = queue.try_push(stream) {
-                    // Load-shed at the door: the acceptor never blocks
-                    // on request work, it answers 503 inline and moves
-                    // on to the next connection.
-                    mcast_obs::counter("serve.request.shed").add(1);
-                    let (code, message) = match why {
-                        AdmissionError::Full => {
-                            ("overloaded", "admission queue is full; retry shortly")
-                        }
-                        AdmissionError::Closed => ("draining", "server is shutting down"),
-                    };
-                    let body = error_body(503, code, message, &[]);
-                    let _ = stream.write_all(&unary_response(
-                        503,
-                        "application/json",
-                        body.as_bytes(),
-                        &[("Retry-After", "1")],
-                    ));
-                    continue;
-                }
-            }
-            // Stop admission; queued connections still drain.
-            queue.close();
-        })?
+                // Stop admission; queued connections still drain.
+                queue.close();
+            })?
     };
 
     mcast_obs::info!("serve", "listening on {addr}");
@@ -255,10 +260,7 @@ fn handle_connection(
     }
 }
 
-fn read_request(
-    stream: &mut TcpStream,
-    max_body: usize,
-) -> Result<Option<Request>, ProtocolError> {
+fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Option<Request>, ProtocolError> {
     let mut parser = RequestParser::new(max_body);
     let mut buf = [0u8; 16 * 1024];
     let mut got_any = false;

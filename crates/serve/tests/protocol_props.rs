@@ -6,8 +6,8 @@
 //! points are derived from sampled seeds with an inline splitmix64.
 
 use mcast_serve::protocol::{
-    chunk, chunked_head, encode_request, error_body, parse_response, unary_response,
-    ProtocolError, Request, RequestParser, CHUNK_END, DEFAULT_MAX_BODY_BYTES,
+    chunk, chunked_head, encode_request, error_body, parse_response, unary_response, ProtocolError,
+    Request, RequestParser, CHUNK_END, DEFAULT_MAX_BODY_BYTES,
 };
 use proptest::prelude::*;
 

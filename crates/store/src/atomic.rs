@@ -24,8 +24,7 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// removed (best effort) and the destination is untouched.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     write_atomic_with(path, |w| {
-        w.write_all(bytes)
-            .map_err(|e| StoreError::io(path, e))
+        w.write_all(bytes).map_err(|e| StoreError::io(path, e))
     })
 }
 
@@ -88,10 +87,8 @@ mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "mcast-store-atomic-{tag}-{}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("mcast-store-atomic-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         fs::create_dir_all(&d).unwrap();
         d
@@ -135,7 +132,8 @@ mod tests {
         // An emit failure after partial output must leave the original
         // contents and no temp litter.
         let err = write_atomic_with(&p, |w| {
-            w.write_all(b"partial").map_err(|e| StoreError::io(Path::new("x"), e))?;
+            w.write_all(b"partial")
+                .map_err(|e| StoreError::io(Path::new("x"), e))?;
             Err(StoreError::HeaderCorrupt)
         });
         assert!(matches!(err, Err(StoreError::HeaderCorrupt)));

@@ -366,7 +366,10 @@ pub fn encode_object(kind: ObjectKind, payload: &[u8]) -> Vec<u8> {
 
 /// Unframe and verify an object file; `expected_kind` of `None` accepts
 /// any known kind (used by `verify`/`gc`).
-pub fn decode_object(data: &[u8], expected_kind: Option<ObjectKind>) -> Result<Vec<u8>, StoreError> {
+pub fn decode_object(
+    data: &[u8],
+    expected_kind: Option<ObjectKind>,
+) -> Result<Vec<u8>, StoreError> {
     if data.len() < OBJECT_HEADER_LEN {
         return Err(StoreError::Truncated {
             expected: OBJECT_HEADER_LEN,
@@ -451,7 +454,8 @@ mod tests {
     use crate::hash::KeyBuilder;
 
     fn temp_root(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("mcast-store-cache-{tag}-{}", std::process::id()));
+        let d =
+            std::env::temp_dir().join(format!("mcast-store-cache-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
@@ -543,7 +547,10 @@ mod tests {
     #[test]
     fn object_frame_rejects_tampering() {
         let framed = encode_object(ObjectKind::Curve, b"data");
-        assert_eq!(decode_object(&framed, Some(ObjectKind::Curve)).unwrap(), b"data");
+        assert_eq!(
+            decode_object(&framed, Some(ObjectKind::Curve)).unwrap(),
+            b"data"
+        );
         assert!(matches!(
             decode_object(&framed[..10], None),
             Err(StoreError::Truncated { .. })

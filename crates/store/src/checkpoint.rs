@@ -104,8 +104,12 @@ fn decode_record(payload: &[u8], xs_len: u32) -> Option<GroupRecord> {
         let mut stats = Vec::with_capacity(xs_len as usize);
         for _ in 0..xs_len {
             let count = u64::from_le_bytes(payload[at..at + 8].try_into().ok()?);
-            let mean = f64::from_bits(u64::from_le_bytes(payload[at + 8..at + 16].try_into().ok()?));
-            let m2 = f64::from_bits(u64::from_le_bytes(payload[at + 16..at + 24].try_into().ok()?));
+            let mean = f64::from_bits(u64::from_le_bytes(
+                payload[at + 8..at + 16].try_into().ok()?,
+            ));
+            let m2 = f64::from_bits(u64::from_le_bytes(
+                payload[at + 16..at + 24].try_into().ok()?,
+            ));
             at += 24;
             stats.push((count, mean, m2));
         }
@@ -134,7 +138,10 @@ fn parse(data: &[u8], key: &Key, xs_len: u32) -> Option<(Vec<GroupRecord>, usize
     let mut at = HEADER_LEN;
     while data.len() - at >= FRAME_PREFIX {
         let len = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes")) as usize;
-        let Some(end) = at.checked_add(FRAME_PREFIX).and_then(|s| s.checked_add(len)) else {
+        let Some(end) = at
+            .checked_add(FRAME_PREFIX)
+            .and_then(|s| s.checked_add(len))
+        else {
             break;
         };
         if end > data.len() {
@@ -215,14 +222,7 @@ pub fn open(
         .append(true)
         .open(&path)
         .map_err(|e| StoreError::io(&path, e))?;
-    Ok((
-        CheckpointWriter {
-            file,
-            path,
-            xs_len,
-        },
-        records,
-    ))
+    Ok((CheckpointWriter { file, path, xs_len }, records))
 }
 
 /// Delete the checkpoint for `key` (after its final artifact landed).

@@ -54,12 +54,18 @@ impl fmt::Display for StoreError {
                 found, expected
             ),
             Self::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported format version {found} (reader supports {supported})")
+                write!(
+                    f,
+                    "unsupported format version {found} (reader supports {supported})"
+                )
             }
             Self::HeaderCorrupt => write!(f, "header checksum mismatch"),
             Self::PayloadCorrupt => write!(f, "payload checksum or size mismatch"),
             Self::Truncated { expected, found } => {
-                write!(f, "file truncated: need at least {expected} bytes, have {found}")
+                write!(
+                    f,
+                    "file truncated: need at least {expected} bytes, have {found}"
+                )
             }
             Self::InvalidTopology(reason) => write!(f, "invalid topology payload: {reason}"),
         }
@@ -131,7 +137,6 @@ mod tests {
             supported: 1
         }
         .is_corruption());
-        assert!(!StoreError::io("/", std::io::Error::other("x"))
-            .is_corruption());
+        assert!(!StoreError::io("/", std::io::Error::other("x")).is_corruption());
     }
 }

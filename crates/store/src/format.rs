@@ -79,7 +79,12 @@ fn payload_len_of(graph: &Graph) -> usize {
 }
 
 /// Compose the 96-byte header for a payload hashing to `payload_sha`.
-fn header_bytes(nodes: u64, edges: u64, payload_len: u64, payload_sha: &Digest) -> [u8; HEADER_LEN] {
+fn header_bytes(
+    nodes: u64,
+    edges: u64,
+    payload_len: u64,
+    payload_sha: &Digest,
+) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[0..4].copy_from_slice(&MAGIC);
     h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -238,8 +243,8 @@ pub fn decode_graph(data: &[u8]) -> Result<Graph, StoreError> {
     for chunk in payload[(n + 1) * 8..].chunks_exact(4) {
         neighbors.push(u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
     }
-    let graph = try_from_csr(offsets, neighbors)
-        .map_err(|e| StoreError::InvalidTopology(e.to_string()))?;
+    let graph =
+        try_from_csr(offsets, neighbors).map_err(|e| StoreError::InvalidTopology(e.to_string()))?;
     if graph.edge_count() as u64 != header.edges {
         return Err(StoreError::InvalidTopology(
             "header edge count disagrees with payload".into(),
@@ -326,7 +331,9 @@ pub fn load_graph(path: &Path) -> Result<Graph, StoreError> {
     while remaining > 0 {
         let take = remaining.min(chunk.len());
         let buf = &mut chunk[..take];
-        reader.read_exact(buf).map_err(|e| StoreError::io(path, e))?;
+        reader
+            .read_exact(buf)
+            .map_err(|e| StoreError::io(path, e))?;
         hasher.update(buf);
         let off_take = take.min(offsets_bytes_left);
         for b in buf[..off_take].chunks_exact(8) {
@@ -345,8 +352,8 @@ pub fn load_graph(path: &Path) -> Result<Graph, StoreError> {
     if hasher.finalize() != header.payload_sha {
         return Err(StoreError::PayloadCorrupt);
     }
-    let graph = try_from_csr(offsets, neighbors)
-        .map_err(|e| StoreError::InvalidTopology(e.to_string()))?;
+    let graph =
+        try_from_csr(offsets, neighbors).map_err(|e| StoreError::InvalidTopology(e.to_string()))?;
     if graph.edge_count() as u64 != header.edges {
         return Err(StoreError::InvalidTopology(
             "header edge count disagrees with payload".into(),

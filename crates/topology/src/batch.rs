@@ -597,7 +597,9 @@ impl<'g> BatchBfs<'g> {
 
     /// Per-sweep mask width for `sources`, validating the batch size.
     fn checked_words(&self, sources: &[NodeId]) -> usize {
-        let words = self.forced_words.unwrap_or_else(|| words_for(sources.len()));
+        let words = self
+            .forced_words
+            .unwrap_or_else(|| words_for(sources.len()));
         let cap = words * LANES_PER_WORD;
         assert!(
             !sources.is_empty() && sources.len() <= cap,
@@ -1491,10 +1493,10 @@ mod tests {
         let g = from_edges(9, &[(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (6, 7)]);
         for sources in [
             &[1, 6, 8, 4, 1][..],
-            &[0][..],          // all-core source
-            &[8][..],          // isolated source only
-            &[6, 7][..],       // both ends of a fully folded component
-            &[5, 2, 1][..],    // folded leaves of different parents
+            &[0][..],       // all-core source
+            &[8][..],       // isolated source only
+            &[6, 7][..],    // both ends of a fully folded component
+            &[5, 2, 1][..], // folded leaves of different parents
         ] {
             let mut profiles = BatchBfs::new(&g);
             profiles.run_profiles(sources);

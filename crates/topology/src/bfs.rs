@@ -268,7 +268,10 @@ fn traverse(
 pub fn min_index_parents(graph: &Graph, dist: &[u32], source: NodeId, out: &mut Vec<NodeId>) {
     let n = graph.node_count();
     assert_eq!(dist.len(), n, "distance array must be node-count sized");
-    assert_eq!(dist[source as usize], 0, "source {source} must be at distance 0");
+    assert_eq!(
+        dist[source as usize], 0,
+        "source {source} must be at distance 0"
+    );
     out.clear();
     out.resize(n, UNREACHED);
     out[source as usize] = source;

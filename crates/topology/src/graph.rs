@@ -475,10 +475,14 @@ pub fn try_from_csr(offsets: Vec<usize>, neighbors: Vec<NodeId>) -> Result<Graph
         return Err(invalid("offsets must be monotone non-decreasing"));
     }
     if *offsets.last().expect("non-empty") != neighbors.len() {
-        return Err(invalid("final offset must equal the neighbour array length"));
+        return Err(invalid(
+            "final offset must equal the neighbour array length",
+        ));
     }
     if !neighbors.len().is_multiple_of(2) {
-        return Err(invalid("directed arc count must be even (each edge stored twice)"));
+        return Err(invalid(
+            "directed arc count must be even (each edge stored twice)",
+        ));
     }
     let graph = Graph {
         offsets: OffsetArray::from_usize(offsets),
@@ -504,7 +508,10 @@ pub fn try_from_csr(offsets: Vec<usize>, neighbors: Vec<NodeId>) -> Result<Graph
         }
     }
     let edge_count = graph.neighbors.len() / 2;
-    Ok(Graph { edge_count, ..graph })
+    Ok(Graph {
+        edge_count,
+        ..graph
+    })
 }
 
 /// Build a graph directly from an edge list over `node_count` nodes.

@@ -58,7 +58,9 @@ fn build_peak_is_linear_in_nodes_not_edges() {
     // Deterministic LCG edge soup, duplicates and reversals included.
     let mut state = 0x2545_f491_4f6c_dd1du64;
     let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((state >> 33) % N as u64) as NodeId
     };
     for _ in 0..EDGES {

@@ -335,7 +335,8 @@ pub fn try_simulate_churn(
     assert!(graph.node_count() >= 2, "need at least two nodes");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut tree = MemberTree::new(graph, source);
-    let mut departures: std::collections::BinaryHeap<Earliest> = std::collections::BinaryHeap::new();
+    let mut departures: std::collections::BinaryHeap<Earliest> =
+        std::collections::BinaryHeap::new();
     let n_nodes = graph.node_count() as NodeId;
 
     let mut now = 0.0f64;
@@ -512,10 +513,19 @@ mod tests {
 
     #[test]
     fn churn_error_is_typed_and_displayable() {
-        let e = ChurnError::MissingDeparture { event: 41, now: 2.5 };
+        let e = ChurnError::MissingDeparture {
+            event: 41,
+            now: 2.5,
+        };
         let text = e.to_string();
-        assert!(text.contains("event 41") && text.contains("desync"), "{text}");
-        let d = ChurnError::DuplicateSession { session: 9, now: 0.0 };
+        assert!(
+            text.contains("event 41") && text.contains("desync"),
+            "{text}"
+        );
+        let d = ChurnError::DuplicateSession {
+            session: 9,
+            now: 0.0,
+        };
         assert!(d.to_string().contains("session 9"), "{d}");
     }
 

@@ -450,7 +450,10 @@ impl<'g> Storm<'g> {
     /// Schedule session `session` (a caller-chosen, never-reused id) to
     /// start at `t` rooted at `source`.
     pub fn schedule_session_start(&mut self, t: f64, session: u32, source: NodeId) {
-        assert!((source as usize) < self.graph.node_count(), "source out of range");
+        assert!(
+            (source as usize) < self.graph.node_count(),
+            "source out of range"
+        );
         self.push(t, session, EventKind::SessionStart { source });
     }
 
@@ -462,7 +465,10 @@ impl<'g> Storm<'g> {
 
     /// Schedule a member join at `site` in `session` at `t`.
     pub fn schedule_join(&mut self, t: f64, session: u32, site: NodeId) {
-        assert!((site as usize) < self.graph.node_count(), "site out of range");
+        assert!(
+            (site as usize) < self.graph.node_count(),
+            "site out of range"
+        );
         self.push(t, session, EventKind::Join { site });
     }
 
@@ -583,7 +589,8 @@ impl<'g> Storm<'g> {
                                 s
                             }
                         };
-                        self.sessions.insert(ev.key.session, SessionTree::new(skeleton));
+                        self.sessions
+                            .insert(ev.key.session, SessionTree::new(skeleton));
                         out.sessions_started += 1;
                     }
                     EventKind::SessionEnd => match self.sessions.remove(&ev.key.session) {
@@ -699,8 +706,14 @@ pub struct SteadyConfig {
 /// nodes.
 pub fn simulate_steady(graph: &Graph, cfg: &SteadyConfig) -> Result<StormOutcome, ChurnError> {
     assert!(cfg.session_rate > 0.0, "session rate must be positive");
-    assert!(cfg.mean_session_lifetime > 0.0, "session lifetime must be positive");
-    assert!(cfg.member.arrival_rate > 0.0, "member arrival rate must be positive");
+    assert!(
+        cfg.mean_session_lifetime > 0.0,
+        "session lifetime must be positive"
+    );
+    assert!(
+        cfg.member.arrival_rate > 0.0,
+        "member arrival rate must be positive"
+    );
     assert!(graph.node_count() >= 2, "need at least two nodes");
     let n = graph.node_count() as NodeId;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -1117,7 +1130,10 @@ mod tests {
         // no scalar pass riding along.
         let exact = run_burst(Storm::DEFAULT_BATCH_THRESHOLD);
         assert_eq!(exact.batch_sweeps, 1, "one full-word tick, one sweep");
-        assert_eq!(exact.trees_built_batch, Storm::DEFAULT_BATCH_THRESHOLD as u64);
+        assert_eq!(
+            exact.trees_built_batch,
+            Storm::DEFAULT_BATCH_THRESHOLD as u64
+        );
         assert_eq!(exact.trees_built_scalar, 0, "no empty scalar pass");
         // One source short: the batch path must not engage at all.
         let below = run_burst(Storm::DEFAULT_BATCH_THRESHOLD - 1);
@@ -1195,7 +1211,13 @@ mod tests {
         storm.schedule_session_start(0.0, 5, 0);
         storm.schedule_session_start(1.0, 5, 1);
         let err = storm.run().unwrap_err();
-        assert_eq!(err, ChurnError::DuplicateSession { session: 5, now: 1.0 });
+        assert_eq!(
+            err,
+            ChurnError::DuplicateSession {
+                session: 5,
+                now: 1.0
+            }
+        );
         assert!(err.to_string().contains("session 5"));
     }
 

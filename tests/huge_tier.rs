@@ -41,7 +41,9 @@ fn million_node_generate_pack_sweep_round_trip() {
     // must never change a bit: 8 narrow (64-lane) sweeps folded together
     // equal one wide (512-lane) sweep.
     let n = graph.node_count();
-    let sources: Vec<NodeId> = (0..64).map(|i| ((i * (n / 64)) + n / 128) as NodeId).collect();
+    let sources: Vec<NodeId> = (0..64)
+        .map(|i| ((i * (n / 64)) + n / 128) as NodeId)
+        .collect();
 
     let mut narrow = BatchBfs::new(&graph);
     narrow.force_words(Some(1));
