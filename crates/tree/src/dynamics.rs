@@ -209,7 +209,7 @@ pub struct ChurnOutcome {
 ///
 /// This is the canonical time key of every event calendar in the crate:
 /// the single-session departure heap below and the multi-session
-/// [`crate::storm`] queue's `(time_bits, session, seq)` tuples.
+/// [`crate::storm`] calendar's `(time_bits, session, seq)` tuples.
 ///
 /// # Panics
 /// Panics (debug) on NaN — a NaN event time is always a caller bug.

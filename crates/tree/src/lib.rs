@@ -27,7 +27,7 @@
 //! * [`dynamics`] — join/leave membership churn with incremental
 //!   delivery-tree maintenance (session dynamics);
 //! * [`storm`] — event-driven churn across 10⁵+ concurrent sessions:
-//!   a deterministic `(time_bits, session, seq)` event queue, sparse
+//!   a deterministic `(time_bits, session, seq)` event calendar, sparse
 //!   per-session trees over shared shortest-path skeletons, and batched
 //!   flash-crowd grafts through the bit-parallel BFS kernel;
 //! * [`affinity_general`] — the affinity model on arbitrary connected

@@ -6,15 +6,20 @@
 //! the capacity-scaling literature reasons about is 10⁵–10⁶ sessions
 //! churning over one shared topology. This module is that engine:
 //!
-//! * **One indexed event queue.** A binary heap of events keyed by
-//!   [`EventKey`] — `(time_bits, session, seq)`, where `time_bits` is
+//! * **One sorted calendar.** Events are keyed by [`EventKey`] —
+//!   `(time_bits, session, seq)`, where `time_bits` is
 //!   [`crate::dynamics::time_order_bits`] of the event time. The key is a
 //!   plain integer tuple with derived `Ord`, so equal-time events always
 //!   replay in `(session, seq)` order: the stream is bit-reproducible
 //!   whatever order events were scheduled in and whatever the float
-//!   environment does. The key is the only copy of the time (the fold
-//!   inverts exactly), so an event is 24 bytes and one `Storm` schedules
-//!   at most [`Storm::MAX_EVENTS`] of them.
+//!   environment does. Scheduling appends to a plain vector, and nothing
+//!   is scheduled while a run is in progress, so [`Storm::run`] sorts the
+//!   calendar once, in place, and walks it front to back: `seq` makes
+//!   every key unique, so that is exactly the order a priority queue
+//!   would pop, without a sift through the whole calendar per event. The
+//!   key is the only copy of the time (the fold inverts exactly), so an
+//!   event is 24 bytes and one `Storm` schedules at most
+//!   [`Storm::MAX_EVENTS`] of them.
 //! * **Shared skeletons, sparse sessions.** A dense `MemberTree` per
 //!   session would cost `O(sessions × nodes)` memory — 10⁵ sessions on
 //!   ti5000 is gigabytes. Instead each distinct source's shortest-path
@@ -26,7 +31,8 @@
 //!   pattern: one buffer set, every session), and a skeleton stores its
 //!   parents as `u16` ids on graphs below 65,535 nodes.
 //! * **Batched grafts.** Events are drained a *tick* at a time (all
-//!   events with equal `time_bits`). When a tick starts at least
+//!   events with equal `time_bits`, one contiguous slice of the sorted
+//!   calendar). When a tick starts at least
 //!   [`Storm::DEFAULT_BATCH_THRESHOLD`] sessions whose skeletons are not
 //!   yet cached — a flash crowd igniting — the engine routes skeleton
 //!   construction through [`BatchBfs`] 64 lanes per sweep instead of one
@@ -46,10 +52,10 @@ use mcast_topology::bfs::{min_index_parents, Bfs, UNREACHED};
 use mcast_topology::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Deterministic event-queue key: events order by time (via the
+/// Deterministic calendar key: events order by time (via the
 /// total-order bit fold), then session id, then schedule sequence.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventKey {
@@ -80,27 +86,8 @@ struct Event {
 }
 
 // The calendar holds every scheduled event at once (1.2 M in a 10⁵-session
-// flash crowd): a field that widens `Event` widens the whole heap.
+// flash crowd): a field that widens `Event` widens the whole calendar.
 const _: () = assert!(std::mem::size_of::<Event>() == 24);
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, the queue wants earliest
-        // (smallest key) first.
-        other.key.cmp(&self.key)
-    }
-}
 
 /// A skeleton's parent array at the narrowest id width the graph needs:
 /// `u16` ids, with `u16::MAX` standing for [`UNREACHED`], below
@@ -345,8 +332,11 @@ pub struct StormOutcome {
 
 /// The multi-session event engine. Schedule events, then [`run`](Self::run).
 ///
-/// One `Storm` schedules at most [`Storm::MAX_EVENTS`] (2³² − 1) events
-/// over its life; the `schedule_*` methods panic past that.
+/// A run consumes the calendar and drops every session and skeleton it
+/// built, so the same `Storm` can be scheduled and run again, with the
+/// outcome a fresh engine would give. One `Storm` schedules at most
+/// [`Storm::MAX_EVENTS`] (2³² − 1) events over its life; the `schedule_*`
+/// methods panic past that.
 pub struct Storm<'g> {
     graph: &'g Graph,
     bfs: Bfs<'g>,
@@ -355,14 +345,15 @@ pub struct Storm<'g> {
     sample_every: u64,
     measure_from: f64,
     measure_until: f64,
-    queue: BinaryHeap<Event>,
+    /// Scheduled events, in schedule order until [`run`](Self::run) sorts
+    /// them.
+    calendar: Vec<Event>,
     next_seq: u32,
     sessions: HashMap<u32, SessionTree>,
     skeletons: HashMap<NodeId, Arc<SourceTree>>,
     /// Scratch for parent derivation, shared by both build paths.
     parent_scratch: Vec<NodeId>,
-    /// Scratch for tick draining / batch prefetch.
-    tick: Vec<Event>,
+    /// Scratch for the batch prefetch.
     wanted: Vec<NodeId>,
 }
 
@@ -388,12 +379,11 @@ impl<'g> Storm<'g> {
             sample_every: 0,
             measure_from: 0.0,
             measure_until: f64::INFINITY,
-            queue: BinaryHeap::new(),
+            calendar: Vec::new(),
             next_seq: 0,
             sessions: HashMap::new(),
             skeletons: HashMap::new(),
             parent_scratch: Vec::new(),
-            tick: Vec::new(),
             wanted: Vec::new(),
         }
     }
@@ -428,7 +418,7 @@ impl<'g> Storm<'g> {
 
     /// Events currently scheduled.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.calendar.len()
     }
 
     fn push(&mut self, t: f64, session: u32, kind: EventKind) {
@@ -444,7 +434,7 @@ impl<'g> Storm<'g> {
             session,
             seq,
         };
-        self.queue.push(Event { key, kind });
+        self.calendar.push(Event { key, kind });
     }
 
     /// Schedule session `session` (a caller-chosen, never-reused id) to
@@ -488,8 +478,12 @@ impl<'g> Storm<'g> {
         SourceTree::from_scratch(source, &mut self.parent_scratch)
     }
 
-    /// Drain the calendar, applying every event in `(time, session, seq)`
-    /// order, and report the aggregate outcome.
+    /// Consume the calendar, applying every event in `(time, session,
+    /// seq)` order, and report the aggregate outcome.
+    ///
+    /// On `Ok` and on `Err` alike the calendar is empty afterwards and no
+    /// session or skeleton is left over: the engine is ready for a new
+    /// schedule.
     ///
     /// # Errors
     /// [`ChurnError::DuplicateSession`] if a session id starts twice —
@@ -497,6 +491,18 @@ impl<'g> Storm<'g> {
     /// double-count.
     pub fn run(&mut self) -> Result<StormOutcome, ChurnError> {
         let _span = mcast_obs::span_at("storm/run");
+        let mut calendar = std::mem::take(&mut self.calendar);
+        // Every key is unique (`seq` is), so the unstable sort is the one
+        // total order a priority queue would pop.
+        calendar.sort_unstable_by_key(|ev| ev.key);
+        let result = self.apply(&calendar);
+        self.sessions.clear();
+        self.skeletons.clear();
+        result
+    }
+
+    /// Apply a sorted calendar to the (empty) session state.
+    fn apply(&mut self, calendar: &[Event]) -> Result<StormOutcome, ChurnError> {
         let mut out = StormOutcome::default();
         let mut now = 0.0f64;
         let mut links_total: u64 = 0;
@@ -506,21 +512,12 @@ impl<'g> Storm<'g> {
         let mut w_members = 0.0f64;
         let mut w_links = 0.0f64;
 
-        let mut tick = std::mem::take(&mut self.tick);
-        let mut wanted = std::mem::take(&mut self.wanted);
-        while let Some(bits) = self.queue.peek().map(|ev| ev.key.time_bits) {
-            // Drain the tick: every event sharing the head's time bits.
-            tick.clear();
-            while let Some(ev) = self.queue.peek() {
-                if ev.key.time_bits != bits {
-                    break;
-                }
-                tick.push(self.queue.pop().expect("peeked event"));
-            }
-
+        // A tick is every event sharing one time: a contiguous run of
+        // the sorted calendar.
+        for tick in calendar.chunk_by(|a, b| a.key.time_bits == b.key.time_bits) {
             // Advance the clock to the tick, integrating the measured
             // window (state is piecewise constant between ticks).
-            let t = time_order_value(bits);
+            let t = time_order_value(tick[0].key.time_bits);
             let lo = now.max(self.measure_from);
             let hi = t.min(self.measure_until);
             if hi > lo {
@@ -534,18 +531,18 @@ impl<'g> Storm<'g> {
 
             // Prefetch: collect the tick's uncached session sources; a
             // flash crowd's worth goes through the bit-parallel kernel.
-            wanted.clear();
-            for ev in &tick {
+            self.wanted.clear();
+            for ev in tick {
                 if let EventKind::SessionStart { source } = ev.kind {
                     if !self.skeletons.contains_key(&source) {
-                        wanted.push(source);
+                        self.wanted.push(source);
                     }
                 }
             }
-            wanted.sort_unstable();
-            wanted.dedup();
-            if wanted.len() >= self.batch_threshold {
-                for chunk in wanted.chunks(max_lanes()) {
+            self.wanted.sort_unstable();
+            self.wanted.dedup();
+            if self.wanted.len() >= self.batch_threshold {
+                for chunk in self.wanted.chunks(max_lanes()) {
                     // An exactly-threshold tick is one batch sweep and
                     // nothing else; only a trailing chunk too small to
                     // amortise a sweep falls through to the per-source
@@ -566,15 +563,11 @@ impl<'g> Storm<'g> {
                 }
             }
 
-            // Apply the tick's events in key order (the heap popped them
-            // sorted).
-            for i in 0..tick.len() {
-                let ev = tick[i];
+            // Apply the tick's events in key order.
+            for ev in tick {
                 match ev.kind {
                     EventKind::SessionStart { source } => {
                         if self.sessions.contains_key(&ev.key.session) {
-                            self.tick = tick;
-                            self.wanted = wanted;
                             return Err(ChurnError::DuplicateSession {
                                 session: ev.key.session,
                                 now,
@@ -641,8 +634,6 @@ impl<'g> Storm<'g> {
                 }
             }
         }
-        self.tick = tick;
-        self.wanted = wanted;
 
         if measured_time > 0.0 {
             out.mean_sessions = w_sessions / measured_time;
@@ -845,7 +836,7 @@ pub fn simulate_flash(
     let mut storm = Storm::new(graph)
         .sample_every(cfg.sample_every)
         .measure_from(cfg.burst_time);
-    storm.queue.reserve_exact(calendar as usize);
+    storm.calendar.reserve_exact(calendar as usize);
     for session in 0..cfg.sessions {
         let source = uniform_node(&mut rng, n);
         storm.schedule_session_start(cfg.burst_time, session, source);
@@ -1068,32 +1059,38 @@ mod tests {
         }
     }
 
+    /// Schedule a `cfg`-shaped burst with uniform sources and sites drawn
+    /// from `seed`.
+    fn schedule_burst(storm: &mut Storm, cfg: &FlashConfig, seed: u64) {
+        let n = storm.graph.node_count() as NodeId;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for session in 0..cfg.sessions {
+            let source = uniform_node(&mut rng, n);
+            storm.schedule_session_start(cfg.burst_time, session, source);
+            let mut last = cfg.burst_time;
+            for _ in 0..cfg.receivers_per_session {
+                let site = uniform_node(&mut rng, n);
+                let at = cfg.burst_time + rng.gen_range(0.0..cfg.join_window);
+                let leave = at + exp_sample(&mut rng, 1.0 / cfg.mean_lifetime);
+                storm.schedule_join(at, session, site);
+                storm.schedule_leave(leave, session, site);
+                last = last.max(leave);
+            }
+            storm.schedule_session_end(last, session);
+        }
+    }
+
     #[test]
     fn batched_and_scalar_graft_paths_are_bit_identical() {
         let g = mesh(9); // 81 nodes: a burst can need >64 skeletons
         let cfg = flash_cfg(200);
         // Schedule the identical event set through both engines.
         let run_with = |threshold: usize| {
-            let n = g.node_count() as NodeId;
             let mut storm = Storm::new(&g)
                 .batch_threshold(threshold)
                 .sample_every(cfg.sample_every)
                 .measure_from(cfg.burst_time);
-            let mut rng = StdRng::seed_from_u64(7);
-            for session in 0..cfg.sessions {
-                let source = uniform_node(&mut rng, n);
-                storm.schedule_session_start(cfg.burst_time, session, source);
-                let mut last = cfg.burst_time;
-                for _ in 0..cfg.receivers_per_session {
-                    let site = uniform_node(&mut rng, n);
-                    let at = cfg.burst_time + rng.gen_range(0.0..cfg.join_window);
-                    let leave = at + exp_sample(&mut rng, 1.0 / cfg.mean_lifetime);
-                    storm.schedule_join(at, session, site);
-                    storm.schedule_leave(leave, session, site);
-                    last = last.max(leave);
-                }
-                storm.schedule_session_end(last, session);
-            }
+            schedule_burst(&mut storm, &cfg, 7);
             storm.run().expect("calendar is consistent")
         };
         let batched = run_with(1);
@@ -1111,6 +1108,99 @@ mod tests {
             "L(m) telemetry must be bit-identical across graft paths"
         );
         assert_eq!(batched.samples, scalar.samples);
+    }
+
+    #[test]
+    fn calendar_applies_in_time_session_seq_order_whatever_the_schedule_order() {
+        // Scheduled back to front: ends, then joins, then starts; the
+        // sessions of each instant in descending id; one session joining,
+        // leaving and rejoining at one instant.
+        let g = binary_tree(3); // sites 7 and 14 hang 3 links below 0, site 2 one
+        let mut storm = Storm::new(&g).sample_every(1);
+        storm.schedule_session_end(3.0, 1);
+        storm.schedule_session_end(3.0, 0);
+        storm.schedule_join(2.0, 1, 2);
+        storm.schedule_join(1.0, 0, 7);
+        storm.schedule_leave(1.0, 0, 7);
+        storm.schedule_join(1.0, 0, 14);
+        storm.schedule_session_start(0.0, 1, 0);
+        storm.schedule_session_start(0.0, 0, 0);
+        let out = storm.run().unwrap();
+        assert_eq!(out.stale_events, 0, "every event found its session");
+        let applied: Vec<_> = out
+            .samples
+            .iter()
+            .map(|s| (s.time, s.sessions, s.members, s.links, s.joins))
+            .collect();
+        assert_eq!(
+            applied,
+            [
+                (0.0, 1, 0, 0, 0), // start 0
+                (0.0, 2, 0, 0, 0), // start 1
+                (1.0, 2, 1, 3, 1), // 0 joins 7
+                (1.0, 2, 0, 0, 1), // 0 leaves 7
+                (1.0, 2, 1, 3, 2), // 0 joins 14
+                (2.0, 2, 2, 4, 3), // 1 joins 2
+                (3.0, 1, 1, 1, 3), // end 0
+                (3.0, 0, 0, 0, 3), // end 1
+            ]
+        );
+    }
+
+    #[test]
+    fn run_empties_the_calendar_on_ok_and_on_error() {
+        let g = binary_tree(3);
+        let mut storm = Storm::new(&g);
+        storm.schedule_session_start(0.0, 0, 0);
+        storm.schedule_join(1.0, 0, 7);
+        assert_eq!(storm.pending_events(), 2);
+        storm.run().unwrap();
+        assert_eq!(storm.pending_events(), 0);
+        // The duplicate start at 1.0 stops the run with the 2.0 and 3.0
+        // events still unapplied.
+        storm.schedule_session_start(0.0, 5, 0);
+        storm.schedule_session_start(1.0, 5, 1);
+        storm.schedule_join(2.0, 5, 7);
+        storm.schedule_session_end(3.0, 5);
+        assert!(storm.run().is_err());
+        assert_eq!(storm.pending_events(), 0);
+    }
+
+    #[test]
+    fn a_second_schedule_and_run_matches_a_fresh_engine() {
+        let g = mesh(9);
+        let cfg = flash_cfg(200);
+        let engine = || {
+            Storm::new(&g)
+                .batch_threshold(1)
+                .sample_every(cfg.sample_every)
+                .measure_from(cfg.burst_time)
+        };
+        // The burst plus one session that is still live when the calendar
+        // runs out, so state a run left behind would show.
+        let schedule = |storm: &mut Storm| {
+            schedule_burst(storm, &cfg, 7);
+            storm.schedule_session_start(9.0, cfg.sessions, 0);
+            storm.schedule_join(9.5, cfg.sessions, 80);
+        };
+        let mut fresh = engine();
+        schedule(&mut fresh);
+        let fresh = fresh.run().unwrap();
+        assert!(fresh.batch_sweeps > 0 && fresh.joins > 0);
+
+        let mut reused = engine();
+        for _ in 0..2 {
+            schedule(&mut reused);
+            let again = reused.run().unwrap();
+            assert_eq!(format!("{again:?}"), format!("{fresh:?}"));
+        }
+        // A run cut short by an error leaves nothing behind either.
+        reused.schedule_session_start(0.0, 0, 0);
+        reused.schedule_session_start(0.5, 0, 0);
+        assert!(reused.run().is_err());
+        schedule(&mut reused);
+        let after_error = reused.run().unwrap();
+        assert_eq!(format!("{after_error:?}"), format!("{fresh:?}"));
     }
 
     #[test]
