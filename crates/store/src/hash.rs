@@ -20,6 +20,7 @@
 //!   domain *does* change the key, which is exactly the invalidation we
 //!   want.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A 256-bit digest.
@@ -244,6 +245,10 @@ impl fmt::Display for Key {
 /// Derives a [`Key`] from named fields (see module docs for the
 /// stability guarantees).
 ///
+/// Byte and string fields are borrowed, not copied, until
+/// [`finish`](Self::finish) hashes them: a topology payload of tens of
+/// megabytes is held once, by its caller.
+///
 /// ```
 /// use mcast_store::hash::KeyBuilder;
 /// let a = KeyBuilder::new("demo").u64("seed", 7).str("kind", "x").finish();
@@ -252,18 +257,28 @@ impl fmt::Display for Key {
 /// let c = KeyBuilder::new("demo").u64("seed", 8).str("kind", "x").finish();
 /// assert_ne!(a, c, "values always matter");
 /// ```
-pub struct KeyBuilder {
-    domain: String,
-    fields: Vec<(String, Vec<u8>)>,
+pub struct KeyBuilder<'a> {
+    domain: &'a str,
+    fields: Vec<(&'a str, Cow<'a, [u8]>)>,
 }
 
-impl KeyBuilder {
+impl<'a> KeyBuilder<'a> {
     /// Builder for keys in `domain` (e.g. `"curve"`, `"figure"`).
-    pub fn new(domain: &str) -> Self {
+    pub fn new(domain: &'a str) -> Self {
         Self {
-            domain: domain.to_string(),
+            domain,
             fields: Vec::new(),
         }
+    }
+
+    /// Add a field; panics on a duplicate tag (see [`bytes`](Self::bytes)).
+    fn field(mut self, tag: &'a str, data: Cow<'a, [u8]>) -> Self {
+        assert!(
+            self.fields.iter().all(|&(t, _)| t != tag),
+            "duplicate key field tag `{tag}`"
+        );
+        self.fields.push((tag, data));
+        self
     }
 
     /// Add a raw byte field.
@@ -271,38 +286,33 @@ impl KeyBuilder {
     /// # Panics
     /// Panics if `tag` was already added — a duplicated tag means two
     /// callers disagree about what the field holds.
-    pub fn bytes(mut self, tag: &str, data: &[u8]) -> Self {
-        assert!(
-            self.fields.iter().all(|(t, _)| t != tag),
-            "duplicate key field tag `{tag}`"
-        );
-        self.fields.push((tag.to_string(), data.to_vec()));
-        self
+    pub fn bytes(self, tag: &'a str, data: &'a [u8]) -> Self {
+        self.field(tag, Cow::Borrowed(data))
     }
 
     /// Add a `u64` field (serialised little-endian).
-    pub fn u64(self, tag: &str, v: u64) -> Self {
-        self.bytes(tag, &v.to_le_bytes())
+    pub fn u64(self, tag: &'a str, v: u64) -> Self {
+        self.field(tag, Cow::Owned(v.to_le_bytes().to_vec()))
     }
 
     /// Add a UTF-8 string field.
-    pub fn str(self, tag: &str, s: &str) -> Self {
+    pub fn str(self, tag: &'a str, s: &'a str) -> Self {
         self.bytes(tag, s.as_bytes())
     }
 
     /// Add a `u64` sequence field (length-prefixed, little-endian).
-    pub fn u64s(self, tag: &str, vals: &[u64]) -> Self {
+    pub fn u64s(self, tag: &'a str, vals: &[u64]) -> Self {
         let mut buf = Vec::with_capacity(8 + vals.len() * 8);
         buf.extend_from_slice(&(vals.len() as u64).to_le_bytes());
         for v in vals {
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        self.bytes(tag, &buf)
+        self.field(tag, Cow::Owned(buf))
     }
 
     /// Hash the domain and the tag-sorted fields into a [`Key`].
     pub fn finish(mut self) -> Key {
-        self.fields.sort_by(|a, b| a.0.cmp(&b.0));
+        self.fields.sort_by(|a, b| a.0.cmp(b.0));
         let mut h = Sha256::new();
         h.update(b"mcast-store-key-v1");
         h.update_u64(self.domain.len() as u64);
