@@ -1148,25 +1148,6 @@ mod tests {
     }
 
     #[test]
-    fn run_empties_the_calendar_on_ok_and_on_error() {
-        let g = binary_tree(3);
-        let mut storm = Storm::new(&g);
-        storm.schedule_session_start(0.0, 0, 0);
-        storm.schedule_join(1.0, 0, 7);
-        assert_eq!(storm.pending_events(), 2);
-        storm.run().unwrap();
-        assert_eq!(storm.pending_events(), 0);
-        // The duplicate start at 1.0 stops the run with the 2.0 and 3.0
-        // events still unapplied.
-        storm.schedule_session_start(0.0, 5, 0);
-        storm.schedule_session_start(1.0, 5, 1);
-        storm.schedule_join(2.0, 5, 7);
-        storm.schedule_session_end(3.0, 5);
-        assert!(storm.run().is_err());
-        assert_eq!(storm.pending_events(), 0);
-    }
-
-    #[test]
     fn a_second_schedule_and_run_matches_a_fresh_engine() {
         let g = mesh(9);
         let cfg = flash_cfg(200);
@@ -1300,6 +1281,7 @@ mod tests {
         let mut storm = Storm::new(&g);
         storm.schedule_session_start(0.0, 5, 0);
         storm.schedule_session_start(1.0, 5, 1);
+        storm.schedule_join(2.0, 5, 7); // never applied
         let err = storm.run().unwrap_err();
         assert_eq!(
             err,
@@ -1309,6 +1291,7 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("session 5"));
+        assert_eq!(storm.pending_events(), 0, "the error consumed the calendar");
     }
 
     #[test]
@@ -1320,7 +1303,9 @@ mod tests {
         storm.schedule_session_end(2.0, 0);
         storm.schedule_leave(3.0, 0, 7); // after teardown: stale
         storm.schedule_leave(3.5, 1, 4); // unknown session: stale
+        assert_eq!(storm.pending_events(), 5);
         let out = storm.run().unwrap();
+        assert_eq!(storm.pending_events(), 0);
         assert_eq!(out.stale_events, 2);
         assert_eq!(out.joins, 1);
         assert_eq!(out.leaves, 0);
