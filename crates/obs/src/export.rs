@@ -589,7 +589,7 @@ pub const MOVE_FLOOR_SHARE: f64 = 0.10;
 /// Compare candidate `b` against baseline `a` under `budget`. Paths
 /// below the budget's wall floor in **both** summaries are skipped;
 /// paths present on only one side are reported but never breach (suite
-/// composition changes are reviewed in the PR, not gated here). A
+/// composition changes are reviewed with the change, not gated here). A
 /// second, run-scaled floor guards breaches: a span whose wall time
 /// moved by less than `min_wall_ms`, or by less than
 /// [`MOVE_FLOOR_SHARE`] of the larger run's total self time, never
