@@ -500,7 +500,8 @@ pub struct Budget {
     pub normalise: bool,
     /// Noise floor, ms: spans below this in both runs are skipped, and
     /// no span breaches unless its wall time moved by at least this much
-    /// (or by [`MOVE_FLOOR_SHARE`] of the run, whichever is larger).
+    /// (or by [`MOVE_FLOOR_SHARE`] of the run, up to [`MOVE_FLOOR_CAP_MS`],
+    /// whichever is larger).
     pub min_wall_ms: f64,
     /// Per-path threshold overrides, percent.
     pub spans: BTreeMap<String, f64>,
@@ -571,20 +572,26 @@ pub struct DiffReport {
     pub breaches: usize,
     /// Smallest wall-time move, ns, that can breach: the larger of the
     /// budget's `min_wall_ms` and [`MOVE_FLOOR_SHARE`] of the larger run's
-    /// total self time.
+    /// total self time, the latter capped at [`MOVE_FLOOR_CAP_MS`].
     pub move_floor_ns: u64,
 }
 
 /// Share of the larger run's total self time that a span's wall time
-/// must move by before it can breach. A preempted thread stretches every
-/// span it holds open by whole scheduler slices, so a short run on a
-/// busy host swings by more than any fixed floor that still sees small
-/// spans: 60 identical-config pairs of a ~150 ms two-figure suite on
-/// 2 vCPUs moved their worst span by up to 19% of the run, 9 pairs by
-/// over 5% and 2 by over 10%. A tenth of the run is also the finest
-/// end-to-end change the benchmark aims to resolve; a smaller move is
-/// not one the layer breakdown needs to name.
+/// must move by before it can breach, up to [`MOVE_FLOOR_CAP_MS`]. A
+/// short run on a busy host is noisy by more than a fixed 5 ms floor
+/// allows: 60 identical-config pairs of a ~150 ms two-figure fast suite
+/// on 2 vCPUs (7 trace lanes) moved their worst span by up to 19% of
+/// the run, 9 pairs by over 5% and 2 by over 10%.
 pub const MOVE_FLOOR_SHARE: f64 = 0.10;
+
+/// Largest breach floor, ms, that [`MOVE_FLOOR_SHARE`] can set. The
+/// noise it absorbs is preemption, which stretches a span by whole
+/// scheduler slices however long the run is, so it does not grow with
+/// the run: in the same 60 pairs, the largest moves of a span whose
+/// share swung past the 25% budget were 33, 28 and 20 ms, and the rest
+/// at most 18 ms. Budgets whose own `min_wall_ms` is at
+/// least this (CI's is 20) keep exactly their fixed floor.
+pub const MOVE_FLOOR_CAP_MS: f64 = 20.0;
 
 /// Compare candidate `b` against baseline `a` under `budget`. Paths
 /// below the budget's wall floor in **both** summaries are skipped;
@@ -592,14 +599,14 @@ pub const MOVE_FLOOR_SHARE: f64 = 0.10;
 /// composition changes are reviewed with the change, not gated here). A
 /// second, run-scaled floor guards breaches: a span whose wall time
 /// moved by less than `min_wall_ms`, or by less than
-/// [`MOVE_FLOOR_SHARE`] of the larger run's total self time, never
-/// breaches, however large the relative swing — short spans jitter by
-/// large percentages under scheduler noise, and a change that small
-/// against the whole run is not actionable.
+/// [`MOVE_FLOOR_SHARE`] of the larger run's total self time capped at
+/// [`MOVE_FLOOR_CAP_MS`], never breaches, however large the relative
+/// swing — short spans jitter by large percentages under scheduler noise.
 pub fn diff(a: &TraceSummary, b: &TraceSummary, budget: &Budget) -> DiffReport {
     let floor_ns = (budget.min_wall_ms * 1e6) as u64;
+    let run_ns = a.total_self_ns().max(b.total_self_ns()) as f64;
     let move_floor_ns =
-        floor_ns.max((a.total_self_ns().max(b.total_self_ns()) as f64 * MOVE_FLOOR_SHARE) as u64);
+        floor_ns.max((run_ns * MOVE_FLOOR_SHARE).min(MOVE_FLOOR_CAP_MS * 1e6) as u64);
     let total_a = a.total_self_ns().max(1) as f64;
     let total_b = b.total_self_ns().max(1) as f64;
     let mut paths: Vec<&String> = a.spans.keys().chain(b.spans.keys()).collect();
@@ -1092,13 +1099,57 @@ mod tests {
         assert!(row.delta_pct.unwrap() < -50.0, "{row:?}");
         // It moved by more than the fixed floor, but by under a tenth of
         // the run.
-        assert!(5.5 > budget.min_wall_ms);
+        let moved_ns = row.wall_a.unwrap() - row.wall_b.unwrap();
+        assert!(moved_ns > (budget.min_wall_ms * 1e6) as u64, "{row:?}");
         assert_eq!(
             report.move_floor_ns,
             (199.6 * 1e6 * MOVE_FLOOR_SHARE) as u64
         );
+        assert!(moved_ns < report.move_floor_ns, "{report:?}");
         assert!(!row.breach, "{row:?}");
         assert_eq!(report.breaches, 0);
+    }
+
+    #[test]
+    fn diff_of_a_long_run_keeps_the_capped_floor() {
+        // A 15 s suite under CI's budget: the run-scaled floor stops at
+        // its cap, so CI's 20 ms floor is what a span has to move by.
+        let ci = Budget {
+            min_wall_ms: 20.0,
+            ..Budget::default()
+        };
+        let a = flat(&[
+            ("storm/run", 1200.0),
+            ("sched/churn", 75.0),
+            ("rest", 13725.0),
+        ]);
+        let report = diff(&a, &a, &ci);
+        assert_eq!(report.move_floor_ns, (MOVE_FLOOR_CAP_MS * 1e6) as u64);
+        assert_eq!(report.breaches, 0);
+        // A span of 8% of the run moving 30% still breaches...
+        let b = flat(&[
+            ("storm/run", 1560.0),
+            ("sched/churn", 75.0),
+            ("rest", 13725.0),
+        ]);
+        let report = diff(&a, &b, &ci);
+        let row = report.rows.iter().find(|r| r.path == "storm/run").unwrap();
+        assert!(row.breach, "{row:?}");
+        assert_eq!(report.breaches, 1, "{report:?}");
+        // ...and so does a 75 ms span that doubles.
+        let c = flat(&[
+            ("storm/run", 1200.0),
+            ("sched/churn", 150.0),
+            ("rest", 13725.0),
+        ]);
+        let report = diff(&a, &c, &ci);
+        let row = report
+            .rows
+            .iter()
+            .find(|r| r.path == "sched/churn")
+            .unwrap();
+        assert!(row.breach, "{row:?}");
+        assert_eq!(report.breaches, 1, "{report:?}");
     }
 
     #[test]
