@@ -601,7 +601,7 @@ pub fn curve_key(graph: &Graph, xs: &[usize], mcfg: &MeasureConfig, kind: Sample
     };
     let xs64: Vec<u64> = xs.iter().map(|&x| x as u64).collect();
     KeyBuilder::new("curve")
-        .bytes("topology", &mcast_store::encode_graph(graph))
+        .graph("topology", graph)
         .u64("seed", mcfg.seed)
         .u64("sources", mcfg.sources as u64)
         .u64("receiver_sets", mcfg.receiver_sets as u64)
@@ -1219,6 +1219,26 @@ pub(crate) mod tests {
         );
         let reseeded = MeasureConfig { seed: 2, ..mcfg };
         assert_ne!(base, curve_key(&g, &[1, 2], &reseeded, SampleKind::Ratio));
+    }
+
+    #[test]
+    fn curve_keys_are_pinned() {
+        // Recorded when the topology field held the whole `encode_graph`
+        // payload; streaming the encoding must not move a single key.
+        let mcfg = MeasureConfig {
+            sources: 3,
+            receiver_sets: 3,
+            seed: 1,
+        };
+        assert_eq!(
+            curve_key(&binary_tree(3), &[1, 2], &mcfg, SampleKind::Ratio).hex(),
+            "265837d4db80fce74e82b5b93a617a7e12b786f3b80873d01efdbf47b3afc5eb"
+        );
+        let isolated = from_edges(6, &[(0, 2), (2, 5)]);
+        assert_eq!(
+            curve_key(&isolated, &[1, 2, 4], &mcfg, SampleKind::NormalizedTree).hex(),
+            "6d1cab64e07b1f61cad183713e312e7c5b9e3bfadf163c134e7dd9c38b83ce70"
+        );
     }
 
     #[test]

@@ -108,21 +108,43 @@ fn payload_sha_of(graph: &Graph) -> Digest {
     hasher.finalize()
 }
 
+/// The 96-byte header of `graph`'s encoding (one pass over the payload,
+/// for its checksum).
+fn header_of(graph: &Graph) -> [u8; HEADER_LEN] {
+    header_bytes(
+        graph.node_count() as u64,
+        graph.edge_count() as u64,
+        payload_len_of(graph) as u64,
+        &payload_sha_of(graph),
+    )
+}
+
+/// Feed `hasher` the length of [`encode_graph`]`(graph)` as a
+/// little-endian `u64`, then its bytes: what `update_u64(len)` and
+/// `update(&bytes)` on the materialised encoding would, with one
+/// `STREAM_CHUNK` of buffer instead of the whole encoding. Cache keys
+/// hash topologies through this.
+pub(crate) fn hash_encoding_into(graph: &Graph, hasher: &mut Sha256) {
+    hasher.update_u64((HEADER_LEN + payload_len_of(graph)) as u64);
+    hasher.update(&header_of(graph));
+    for_each_payload_chunk(graph, |chunk| {
+        hasher.update(chunk);
+        Ok(())
+    })
+    .expect("hashing cannot fail");
+}
+
 /// Encode a graph into the binary topology format, in RAM.
 ///
 /// This materialises header + payload as one byte vector — fine for the
-/// fast/paper tiers and for cache-key hashing; the `huge` tier persists
-/// through [`save_graph`], which streams the identical bytes to disk
-/// without the intermediate vector.
+/// fast/paper tiers; the `huge` tier persists through [`save_graph`],
+/// which streams the identical bytes to disk without the intermediate
+/// vector, and cache keys stream them into the hash
+/// ([`KeyBuilder::graph`](crate::KeyBuilder::graph)).
 pub fn encode_graph(graph: &Graph) -> Vec<u8> {
     let payload_len = payload_len_of(graph);
     let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
-    out.extend_from_slice(&header_bytes(
-        graph.node_count() as u64,
-        graph.edge_count() as u64,
-        payload_len as u64,
-        &payload_sha_of(graph),
-    ));
+    out.extend_from_slice(&header_of(graph));
     for_each_payload_chunk(graph, |chunk| {
         out.extend_from_slice(chunk);
         Ok(())
@@ -262,12 +284,7 @@ pub fn decode_graph(data: &[u8]) -> Result<Graph, StoreError> {
 /// save-side footprint at one `STREAM_CHUNK` instead of ~1.5× the
 /// graph's own size.
 pub fn save_graph(path: &Path, graph: &Graph) -> Result<(), StoreError> {
-    let header = header_bytes(
-        graph.node_count() as u64,
-        graph.edge_count() as u64,
-        payload_len_of(graph) as u64,
-        &payload_sha_of(graph),
-    );
+    let header = header_of(graph);
     write_atomic_with(path, |w| {
         w.write_all(&header).map_err(|e| StoreError::io(path, e))?;
         for_each_payload_chunk(graph, |chunk| {

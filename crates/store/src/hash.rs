@@ -20,6 +20,7 @@
 //!   domain *does* change the key, which is exactly the invalidation we
 //!   want.
 
+use mcast_topology::Graph;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -246,8 +247,9 @@ impl fmt::Display for Key {
 /// stability guarantees).
 ///
 /// Byte and string fields are borrowed, not copied, until
-/// [`finish`](Self::finish) hashes them: a topology payload of tens of
-/// megabytes is held once, by its caller.
+/// [`finish`](Self::finish) hashes them, and a [`graph`](Self::graph)
+/// field is encoded chunk by chunk as it is hashed: a topology of tens of
+/// megabytes is never copied into the key.
 ///
 /// ```
 /// use mcast_store::hash::KeyBuilder;
@@ -259,7 +261,14 @@ impl fmt::Display for Key {
 /// ```
 pub struct KeyBuilder<'a> {
     domain: &'a str,
-    fields: Vec<(&'a str, Cow<'a, [u8]>)>,
+    fields: Vec<(&'a str, Field<'a>)>,
+}
+
+/// The value of one key field.
+enum Field<'a> {
+    Bytes(Cow<'a, [u8]>),
+    /// The bytes of `encode_graph(graph)`, produced as they are hashed.
+    Graph(&'a Graph),
 }
 
 impl<'a> KeyBuilder<'a> {
@@ -272,7 +281,7 @@ impl<'a> KeyBuilder<'a> {
     }
 
     /// Add a field; panics on a duplicate tag (see [`bytes`](Self::bytes)).
-    fn field(mut self, tag: &'a str, data: Cow<'a, [u8]>) -> Self {
+    fn field(mut self, tag: &'a str, data: Field<'a>) -> Self {
         assert!(
             self.fields.iter().all(|&(t, _)| t != tag),
             "duplicate key field tag `{tag}`"
@@ -287,12 +296,22 @@ impl<'a> KeyBuilder<'a> {
     /// Panics if `tag` was already added — a duplicated tag means two
     /// callers disagree about what the field holds.
     pub fn bytes(self, tag: &'a str, data: &'a [u8]) -> Self {
-        self.field(tag, Cow::Borrowed(data))
+        self.field(tag, Field::Bytes(Cow::Borrowed(data)))
+    }
+
+    /// Add a topology field: `graph`'s binary encoding. The key equals
+    /// the one [`bytes`](Self::bytes) gives for [`encode_graph`]`(graph)`,
+    /// but [`finish`](Self::finish) streams the encoding into the hash one
+    /// chunk at a time instead of building it whole.
+    ///
+    /// [`encode_graph`]: crate::encode_graph
+    pub fn graph(self, tag: &'a str, graph: &'a Graph) -> Self {
+        self.field(tag, Field::Graph(graph))
     }
 
     /// Add a `u64` field (serialised little-endian).
     pub fn u64(self, tag: &'a str, v: u64) -> Self {
-        self.field(tag, Cow::Owned(v.to_le_bytes().to_vec()))
+        self.field(tag, Field::Bytes(Cow::Owned(v.to_le_bytes().to_vec())))
     }
 
     /// Add a UTF-8 string field.
@@ -307,7 +326,7 @@ impl<'a> KeyBuilder<'a> {
         for v in vals {
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        self.field(tag, Cow::Owned(buf))
+        self.field(tag, Field::Bytes(Cow::Owned(buf)))
     }
 
     /// Hash the domain and the tag-sorted fields into a [`Key`].
@@ -317,11 +336,16 @@ impl<'a> KeyBuilder<'a> {
         h.update(b"mcast-store-key-v1");
         h.update_u64(self.domain.len() as u64);
         h.update(self.domain.as_bytes());
-        for (tag, payload) in &self.fields {
+        for (tag, value) in &self.fields {
             h.update_u64(tag.len() as u64);
             h.update(tag.as_bytes());
-            h.update_u64(payload.len() as u64);
-            h.update(payload);
+            match value {
+                Field::Bytes(payload) => {
+                    h.update_u64(payload.len() as u64);
+                    h.update(payload);
+                }
+                Field::Graph(graph) => crate::format::hash_encoding_into(graph, &mut h),
+            }
         }
         Key(h.finalize())
     }
@@ -448,6 +472,31 @@ mod tests {
         let ab = KeyBuilder::new("g").str("t", "ab").str("u", "c").finish();
         let a_bc = KeyBuilder::new("g").str("t", "a").str("u", "bc").finish();
         assert_ne!(ab, a_bc);
+    }
+
+    #[test]
+    fn graph_fields_key_like_their_encoding() {
+        use mcast_topology::graph::from_edges;
+        // Empty, isolated nodes only, isolated nodes beside edges, and a
+        // path whose payload spans several stream chunks.
+        let path: Vec<_> = (1..150_000).map(|i| (i - 1, i)).collect();
+        let graphs = [
+            from_edges(0, &[]),
+            from_edges(5, &[]),
+            from_edges(9, &[(0, 3), (3, 4), (1, 4), (7, 8)]),
+            from_edges(150_000, &path),
+        ];
+        for g in &graphs {
+            let mctb = crate::encode_graph(g);
+            let key = |topology: KeyBuilder| topology.u64("seed", 7).str("kind", "ratio").finish();
+            assert_eq!(
+                key(KeyBuilder::new("curve").graph("topology", g)),
+                key(KeyBuilder::new("curve").bytes("topology", &mctb)),
+                "{} nodes, {} edges",
+                g.node_count(),
+                g.edge_count()
+            );
+        }
     }
 
     #[test]

@@ -14,30 +14,43 @@
 //!   whatever order events were scheduled in and whatever the float
 //!   environment does. Scheduling appends to a plain vector, and nothing
 //!   is scheduled while a run is in progress, so [`Storm::run`] sorts the
-//!   calendar once, in place, and walks it front to back: `seq` makes
-//!   every key unique, so that is exactly the order a priority queue
-//!   would pop, without a sift through the whole calendar per event. The
-//!   key is the only copy of the time (the fold inverts exactly), so an
-//!   event is 24 bytes and one `Storm` schedules at most
-//!   [`Storm::MAX_EVENTS`] of them.
+//!   calendar once, in place; `seq` makes every key unique, so that is
+//!   exactly the order a priority queue would pop. The key is the only
+//!   copy of the time (the fold inverts exactly), so an event is 24 bytes
+//!   and one `Storm` schedules at most [`Storm::MAX_EVENTS`] of them.
+//! * **Three passes over the sorted calendar.** Sessions never interact:
+//!   an event changes only its own session's tree, and the aggregates are
+//!   sums over sessions. So a run applies events where they are cheap and
+//!   folds their effects where the order matters:
+//!   1. *skeletons*, in time order: per tick (every event of one instant)
+//!      decide which sources' shortest-path skeletons the batch kernel
+//!      builds, and count the scalar builds;
+//!   2. *sessions*, session-major: following a per-session list threaded
+//!      through the events' own `seq` fields, which the sorted calendar
+//!      no longer needs, run each session's events back to back in time
+//!      order with one [`SessionTree`] alive at a time, and write each
+//!      event's effect (links grafted or pruned, started, ended, stale)
+//!      into the event's own calendar slot;
+//!   3. *fold*, in time order: sum the effects into totals, peaks,
+//!      samples and time-weighted means, tick by tick.
 //! * **Shared skeletons, sparse sessions.** A dense `MemberTree` per
 //!   session would cost `O(sessions × nodes)` memory — 10⁵ sessions on
 //!   ti5000 is gigabytes. Instead each distinct source's shortest-path
-//!   skeleton (one parent array, built once under the schedule-independent
+//!   skeleton (one parent array, built under the schedule-independent
 //!   lowest-id rule of `min_index_parents`) is shared behind an `Arc`, and
-//!   a [`SessionTree`] holds only its own sparse refcounts — memory
-//!   proportional to *members*, not nodes. Skeleton construction reuses
-//!   the engine's single scalar-BFS scratch (the zero-alloc engine's
-//!   pattern: one buffer set, every session), and a skeleton stores its
-//!   parents as `u16` ids on graphs below 65,535 nodes.
-//! * **Batched grafts.** Events are drained a *tick* at a time (all
-//!   events with equal `time_bits`, one contiguous slice of the sorted
-//!   calendar). When a tick starts at least
+//!   a [`SessionTree`] holds only its own sparse counts — memory
+//!   proportional to *members*, not nodes. A join grafts only up to the
+//!   first node already in the tree, a leave prunes only up to the first
+//!   node that stays in it. A skeleton stores its parents as `u16` ids on
+//!   graphs below 65,535 nodes, and the engine drops its handle on one
+//!   as soon as the last session rooted there has started.
+//! * **Batched grafts.** When a tick starts at least
 //!   [`Storm::DEFAULT_BATCH_THRESHOLD`] sessions whose skeletons are not
-//!   yet cached — a flash crowd igniting — the engine routes skeleton
-//!   construction through [`BatchBfs`] 64 lanes per sweep instead of one
-//!   scalar BFS per source. Both paths derive parents with the same rule
-//!   from bit-identical distances, so batching can never change a number
+//!   yet built — a flash crowd igniting — the engine routes skeleton
+//!   construction through [`BatchBfs`] 64 lanes per sweep; every other
+//!   skeleton is built lazily by one scalar BFS, reusing the engine's
+//!   single scratch. Both paths derive parents with the same rule from
+//!   bit-identical distances, so batching can never change a number
 //!   (pinned by tests).
 //!
 //! Determinism contract: a [`Storm`] run is a pure function of the graph
@@ -69,16 +82,57 @@ pub struct EventKey {
     pub seq: u32,
 }
 
+/// What an event does. The `schedule_*` methods write the first four
+/// variants; the session pass replaces each with the effect it had, which
+/// is all the fold needs. Link counts fit a `u32`: a session's tree has
+/// fewer links than the graph has nodes.
 #[derive(Clone, Copy, Debug)]
 enum EventKind {
-    SessionStart { source: NodeId },
+    SessionStart {
+        source: NodeId,
+    },
     SessionEnd,
-    Join { site: NodeId },
-    Leave { site: NodeId },
+    Join {
+        site: NodeId,
+    },
+    Leave {
+        site: NodeId,
+    },
+    /// A session started.
+    Started,
+    /// A session ended holding `links` links. Its member count is parked
+    /// in the event's `key.seq`, which no later pass reads.
+    Ended {
+        links: u32,
+    },
+    /// A join that grafted `links` links.
+    Grafted {
+        links: u32,
+    },
+    /// A leave that removed a member and pruned `links` links.
+    Pruned {
+        links: u32,
+    },
+    /// An event addressed to a session that was not live, or a leave at a
+    /// site with no member.
+    Stale,
 }
 
-/// A scheduled event. Its time lives only in `key.time_bits`; the run
-/// loop recovers the clock with [`time_order_value`].
+impl EventKind {
+    /// Whether the session pass has replaced the scheduled kind.
+    fn is_applied(self) -> bool {
+        !matches!(
+            self,
+            EventKind::SessionStart { .. }
+                | EventKind::SessionEnd
+                | EventKind::Join { .. }
+                | EventKind::Leave { .. }
+        )
+    }
+}
+
+/// A scheduled event. Its time lives only in `key.time_bits`; the fold
+/// recovers the clock with [`time_order_value`].
 #[derive(Clone, Copy, Debug)]
 struct Event {
     key: EventKey,
@@ -135,7 +189,7 @@ impl Parents {
 
 /// One source's shortest-path skeleton: parent pointers under the
 /// lowest-id rule. `parent.get(source) == source`; unreachable nodes
-/// carry [`UNREACHED`]. Shared by every concurrent session rooted there.
+/// carry [`UNREACHED`]. Shared by every session rooted there.
 struct SourceTree {
     source: NodeId,
     parent: Parents,
@@ -152,17 +206,34 @@ impl SourceTree {
     }
 }
 
+/// A source's skeleton during one run: the tree once built, and how many
+/// of the calendar's session starts rooted there the session pass has
+/// still to apply. The engine drops its handle when that reaches zero.
+struct Skeleton {
+    tree: Option<Arc<SourceTree>>,
+    starts_left: u32,
+}
+
 /// A sparse per-session member tree over a shared `SourceTree`.
 ///
-/// State is two sorted `(node, count)` vectors — members joined exactly
-/// at a site, and members whose rootward path crosses the link above a
-/// node — so memory scales with the session's membership, not the graph.
-/// Leaves of non-members are no-ops (same hardened contract as
+/// State is two sorted `(node, count)` vectors, so memory scales with the
+/// session's tree, not the graph:
+/// * `members`: members joined exactly at a site;
+/// * `count`: for each node in the tree other than the source, the
+///   members joined at it plus its children in the tree. A node is in
+///   the tree, and so is the link above it, exactly while its count is
+///   non-zero, so a join grafts rootward only until it meets a node whose
+///   count was already non-zero, and a leave prunes only until it meets
+///   one whose count stays non-zero.
+///
+/// Members at the source or at an unreachable site are counted in
+/// `members` only: they have no link to graft. Leaves of non-members are
+/// no-ops (same hardened contract as
 /// [`crate::dynamics::MemberTree::leave`]).
 pub struct SessionTree {
     skeleton: Arc<SourceTree>,
     members: Vec<(NodeId, u32)>,
-    refcount: Vec<(NodeId, u32)>,
+    count: Vec<(NodeId, u32)>,
     member_count: u64,
     links: u64,
 }
@@ -196,15 +267,31 @@ fn sparse_decr(vec: &mut Vec<(NodeId, u32)>, node: NodeId) -> u32 {
     left
 }
 
+/// A session tree's `members` and `count` vectors, emptied, kept between
+/// sessions so the session pass allocates to a high-water mark, not per
+/// session.
+type SparseBuffers = (Vec<(NodeId, u32)>, Vec<(NodeId, u32)>);
+
 impl SessionTree {
-    fn new(skeleton: Arc<SourceTree>) -> Self {
+    /// An empty session on `skeleton`, in `buffers` from an ended one.
+    fn new(skeleton: Arc<SourceTree>, (members, count): SparseBuffers) -> Self {
+        debug_assert!(members.is_empty() && count.is_empty());
         Self {
             skeleton,
-            members: Vec::new(),
-            refcount: Vec::new(),
+            members,
+            count,
             member_count: 0,
             links: 0,
         }
+    }
+
+    /// End the session: drop its handle on the skeleton and hand back
+    /// its emptied buffers.
+    fn into_buffers(self) -> SparseBuffers {
+        let (mut members, mut count) = (self.members, self.count);
+        members.clear();
+        count.clear();
+        (members, count)
     }
 
     /// The session's source.
@@ -222,8 +309,10 @@ impl SessionTree {
         self.member_count
     }
 
-    fn reachable(&self, site: NodeId) -> bool {
-        site == self.skeleton.source || self.skeleton.parent.get(site) != UNREACHED
+    /// Whether `site` joins without a rootward path: the source itself,
+    /// or a site its skeleton never reached.
+    fn pathless(&self, site: NodeId) -> bool {
+        site == self.skeleton.source || self.skeleton.parent.get(site) == UNREACHED
     }
 
     /// Add a member at `site`; returns links grafted. The source and
@@ -231,15 +320,13 @@ impl SessionTree {
     pub fn join(&mut self, site: NodeId) -> u64 {
         sparse_incr(&mut self.members, site);
         self.member_count += 1;
-        if site == self.skeleton.source || !self.reachable(site) {
+        if self.pathless(site) {
             return 0;
         }
         let mut grafted = 0;
         let mut v = site;
-        while v != self.skeleton.source {
-            if sparse_incr(&mut self.refcount, v) == 1 {
-                grafted += 1;
-            }
+        while v != self.skeleton.source && sparse_incr(&mut self.count, v) == 1 {
+            grafted += 1;
             v = self.skeleton.parent.get(v);
         }
         self.links += grafted;
@@ -250,21 +337,16 @@ impl SessionTree {
     /// `None` — a guaranteed no-op — when no member is joined there
     /// (leave-before-join, repeated leave, stale post-teardown prune).
     pub fn leave(&mut self, site: NodeId) -> Option<u64> {
-        match self.members.binary_search_by_key(&site, |e| e.0) {
-            Ok(_) => {}
-            Err(_) => return None,
-        }
+        self.members.binary_search_by_key(&site, |e| e.0).ok()?;
         sparse_decr(&mut self.members, site);
         self.member_count -= 1;
-        if site == self.skeleton.source || !self.reachable(site) {
+        if self.pathless(site) {
             return Some(0);
         }
         let mut pruned = 0;
         let mut v = site;
-        while v != self.skeleton.source {
-            if sparse_decr(&mut self.refcount, v) == 0 {
-                pruned += 1;
-            }
+        while v != self.skeleton.source && sparse_decr(&mut self.count, v) == 0 {
+            pruned += 1;
             v = self.skeleton.parent.get(v);
         }
         self.links -= pruned;
@@ -349,8 +431,8 @@ pub struct Storm<'g> {
     /// them.
     calendar: Vec<Event>,
     next_seq: u32,
-    sessions: HashMap<u32, SessionTree>,
-    skeletons: HashMap<NodeId, Arc<SourceTree>>,
+    /// Every source with a session start still to apply in this run.
+    skeletons: HashMap<NodeId, Skeleton>,
     /// Scratch for parent derivation, shared by both build paths.
     parent_scratch: Vec<NodeId>,
     /// Scratch for the batch prefetch.
@@ -381,7 +463,6 @@ impl<'g> Storm<'g> {
             measure_until: f64::INFINITY,
             calendar: Vec::new(),
             next_seq: 0,
-            sessions: HashMap::new(),
             skeletons: HashMap::new(),
             parent_scratch: Vec::new(),
             wanted: Vec::new(),
@@ -437,8 +518,8 @@ impl<'g> Storm<'g> {
         self.calendar.push(Event { key, kind });
     }
 
-    /// Schedule session `session` (a caller-chosen, never-reused id) to
-    /// start at `t` rooted at `source`.
+    /// Schedule session `session` to start at `t` rooted at `source`. An
+    /// id may start again once its previous session has ended.
     pub fn schedule_session_start(&mut self, t: f64, session: u32, source: NodeId) {
         assert!(
             (source as usize) < self.graph.node_count(),
@@ -486,51 +567,33 @@ impl<'g> Storm<'g> {
     /// schedule.
     ///
     /// # Errors
-    /// [`ChurnError::DuplicateSession`] if a session id starts twice —
-    /// the calendar is desynchronised and the aggregates would silently
-    /// double-count.
+    /// [`ChurnError::DuplicateSession`] if a session id starts while it
+    /// is live — the calendar is desynchronised and the aggregates would
+    /// silently double-count. The error names the first such start in
+    /// `(time, session, seq)` order.
     pub fn run(&mut self) -> Result<StormOutcome, ChurnError> {
         let _span = mcast_obs::span_at("storm/run");
         let mut calendar = std::mem::take(&mut self.calendar);
         // Every key is unique (`seq` is), so the unstable sort is the one
         // total order a priority queue would pop.
         calendar.sort_unstable_by_key(|ev| ev.key);
-        let result = self.apply(&calendar);
-        self.sessions.clear();
+        let mut out = StormOutcome::default();
+        self.prefetch_skeletons(&calendar, &mut out);
+        let applied = self.apply_sessions(&mut calendar);
         self.skeletons.clear();
-        result
+        applied?;
+        self.fold(&calendar, &mut out);
+        Ok(out)
     }
 
-    /// Apply a sorted calendar to the (empty) session state.
-    fn apply(&mut self, calendar: &[Event]) -> Result<StormOutcome, ChurnError> {
-        let mut out = StormOutcome::default();
-        let mut now = 0.0f64;
-        let mut links_total: u64 = 0;
-        let mut members_total: u64 = 0;
-        let mut measured_time = 0.0f64;
-        let mut w_sessions = 0.0f64;
-        let mut w_members = 0.0f64;
-        let mut w_links = 0.0f64;
-
-        // A tick is every event sharing one time: a contiguous run of
-        // the sorted calendar.
+    /// The skeletons pass, in time order: per tick, batch-build the skeletons of a
+    /// flash crowd's worth of not-yet-built sources, and count each other
+    /// source's first start as one scalar build (made lazily by the
+    /// session pass). Also counts every source's starts, so the session
+    /// pass knows when a skeleton's last session has started.
+    fn prefetch_skeletons(&mut self, calendar: &[Event], out: &mut StormOutcome) {
+        let _span = mcast_obs::span("skeletons");
         for tick in calendar.chunk_by(|a, b| a.key.time_bits == b.key.time_bits) {
-            // Advance the clock to the tick, integrating the measured
-            // window (state is piecewise constant between ticks).
-            let t = time_order_value(tick[0].key.time_bits);
-            let lo = now.max(self.measure_from);
-            let hi = t.min(self.measure_until);
-            if hi > lo {
-                let dt = hi - lo;
-                measured_time += dt;
-                w_sessions += self.sessions.len() as f64 * dt;
-                w_members += members_total as f64 * dt;
-                w_links += links_total as f64 * dt;
-            }
-            now = t;
-
-            // Prefetch: collect the tick's uncached session sources; a
-            // flash crowd's worth goes through the bit-parallel kernel.
             self.wanted.clear();
             for ev in tick {
                 if let EventKind::SessionStart { source } = ev.kind {
@@ -546,7 +609,7 @@ impl<'g> Storm<'g> {
                     // An exactly-threshold tick is one batch sweep and
                     // nothing else; only a trailing chunk too small to
                     // amortise a sweep falls through to the per-source
-                    // scalar path in the event loop below.
+                    // scalar path below.
                     if chunk.len() < self.batch_threshold {
                         continue;
                     }
@@ -554,79 +617,193 @@ impl<'g> Storm<'g> {
                     out.batch_sweeps += 1;
                     for (lane, &source) in chunk.iter().enumerate() {
                         self.batch.parent_tree(lane, &mut self.parent_scratch);
+                        let tree = SourceTree::from_scratch(source, &mut self.parent_scratch);
                         self.skeletons.insert(
                             source,
-                            SourceTree::from_scratch(source, &mut self.parent_scratch),
+                            Skeleton {
+                                tree: Some(tree),
+                                starts_left: 0,
+                            },
                         );
                         out.trees_built_batch += 1;
                     }
                 }
             }
+            for ev in tick {
+                if let EventKind::SessionStart { source } = ev.kind {
+                    let skeleton = self.skeletons.entry(source).or_insert_with(|| {
+                        out.trees_built_scalar += 1;
+                        Skeleton {
+                            tree: None,
+                            starts_left: 0,
+                        }
+                    });
+                    skeleton.starts_left += 1;
+                }
+            }
+        }
+    }
 
-            // Apply the tick's events in key order.
+    /// The skeleton for one session start at `source`, built now if the
+    /// prefetch left it to the scalar path. The engine keeps its own
+    /// handle only while sessions rooted there have still to start.
+    fn take_skeleton(&mut self, source: NodeId) -> Arc<SourceTree> {
+        let slot = self
+            .skeletons
+            .get_mut(&source)
+            .expect("the prefetch counted every session start");
+        slot.starts_left -= 1;
+        let built = slot.tree.clone();
+        if slot.starts_left == 0 {
+            self.skeletons.remove(&source);
+        }
+        built.unwrap_or_else(|| {
+            let tree = self.build_scalar(source);
+            if let Some(slot) = self.skeletons.get_mut(&source) {
+                slot.tree = Some(Arc::clone(&tree));
+            }
+            tree
+        })
+    }
+
+    /// The sessions pass, session-major: apply each session's events back to back,
+    /// in time order, with one [`SessionTree`] alive at a time, and leave
+    /// each event's effect in its calendar slot for the fold. Sessions
+    /// are taken in the order of their first events.
+    ///
+    /// # Errors
+    /// [`ChurnError::DuplicateSession`] for the earliest start, in
+    /// calendar order, of a session that is already live.
+    fn apply_sessions(&mut self, calendar: &mut [Event]) -> Result<(), ChurnError> {
+        let _span = mcast_obs::span("sessions");
+        link_sessions(calendar);
+        let mut duplicate: Option<usize> = None;
+        let mut spare = SparseBuffers::default();
+        for first in 0..calendar.len() {
+            if calendar[first].kind.is_applied() {
+                continue; // an event of a session already applied
+            }
+            let mut live: Option<SessionTree> = None;
+            let mut next = first as u32;
+            while next != NO_NEXT {
+                let pos = next as usize;
+                let ev = &mut calendar[pos];
+                next = ev.key.seq;
+                ev.kind = match ev.kind {
+                    EventKind::SessionStart { .. } if live.is_some() => {
+                        // Positions are calendar order, so the smallest is
+                        // the duplicate a time-ordered replay meets first.
+                        duplicate = Some(duplicate.map_or(pos, |d| d.min(pos)));
+                        EventKind::Stale
+                    }
+                    EventKind::SessionStart { source } => {
+                        let skeleton = self.take_skeleton(source);
+                        live = Some(SessionTree::new(skeleton, std::mem::take(&mut spare)));
+                        EventKind::Started
+                    }
+                    EventKind::SessionEnd => match live.take() {
+                        Some(tree) => {
+                            ev.key.seq = narrow(tree.member_count());
+                            let links = narrow(tree.links());
+                            spare = tree.into_buffers();
+                            EventKind::Ended { links }
+                        }
+                        None => EventKind::Stale,
+                    },
+                    EventKind::Join { site } => match live.as_mut() {
+                        Some(tree) => EventKind::Grafted {
+                            links: narrow(tree.join(site)),
+                        },
+                        None => EventKind::Stale,
+                    },
+                    EventKind::Leave { site } => match live.as_mut().and_then(|t| t.leave(site)) {
+                        Some(links) => EventKind::Pruned {
+                            links: narrow(links),
+                        },
+                        None => EventKind::Stale,
+                    },
+                    applied => unreachable!("{applied:?} applied twice"),
+                };
+            }
+            if let Some(tree) = live {
+                spare = tree.into_buffers();
+            }
+        }
+        match duplicate {
+            Some(pos) => Err(ChurnError::DuplicateSession {
+                session: calendar[pos].key.session,
+                now: time_order_value(calendar[pos].key.time_bits),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The fold, in time order: sum the effects the sessions pass left in
+    /// the calendar into totals, peaks, samples and the time-weighted
+    /// means, with the float operations of a single time-ordered drain.
+    fn fold(&self, calendar: &[Event], out: &mut StormOutcome) {
+        let _span = mcast_obs::span("fold");
+        let mut now = 0.0f64;
+        let mut sessions_total: u64 = 0;
+        let mut links_total: u64 = 0;
+        let mut members_total: u64 = 0;
+        let mut measured_time = 0.0f64;
+        let mut w_sessions = 0.0f64;
+        let mut w_members = 0.0f64;
+        let mut w_links = 0.0f64;
+
+        for tick in calendar.chunk_by(|a, b| a.key.time_bits == b.key.time_bits) {
+            // Advance the clock to the tick, integrating the measured
+            // window (state is piecewise constant between ticks).
+            let t = time_order_value(tick[0].key.time_bits);
+            let lo = now.max(self.measure_from);
+            let hi = t.min(self.measure_until);
+            if hi > lo {
+                let dt = hi - lo;
+                measured_time += dt;
+                w_sessions += sessions_total as f64 * dt;
+                w_members += members_total as f64 * dt;
+                w_links += links_total as f64 * dt;
+            }
+            now = t;
+
             for ev in tick {
                 match ev.kind {
-                    EventKind::SessionStart { source } => {
-                        if self.sessions.contains_key(&ev.key.session) {
-                            return Err(ChurnError::DuplicateSession {
-                                session: ev.key.session,
-                                now,
-                            });
-                        }
-                        let skeleton = match self.skeletons.get(&source) {
-                            Some(s) => Arc::clone(s),
-                            None => {
-                                let s = self.build_scalar(source);
-                                out.trees_built_scalar += 1;
-                                self.skeletons.insert(source, Arc::clone(&s));
-                                s
-                            }
-                        };
-                        self.sessions
-                            .insert(ev.key.session, SessionTree::new(skeleton));
+                    EventKind::Started => {
+                        sessions_total += 1;
                         out.sessions_started += 1;
                     }
-                    EventKind::SessionEnd => match self.sessions.remove(&ev.key.session) {
-                        Some(tree) => {
-                            out.pruned_links += tree.links();
-                            links_total -= tree.links();
-                            members_total -= tree.member_count();
-                            out.sessions_ended += 1;
-                        }
-                        None => out.stale_events += 1,
-                    },
-                    EventKind::Join { site } => match self.sessions.get_mut(&ev.key.session) {
-                        Some(tree) => {
-                            let g = tree.join(site);
-                            out.grafted_links += g;
-                            links_total += g;
-                            members_total += 1;
-                            out.joins += 1;
-                        }
-                        None => out.stale_events += 1,
-                    },
-                    EventKind::Leave { site } => match self
-                        .sessions
-                        .get_mut(&ev.key.session)
-                        .and_then(|tree| tree.leave(site))
-                    {
-                        Some(p) => {
-                            out.pruned_links += p;
-                            links_total -= p;
-                            members_total -= 1;
-                            out.leaves += 1;
-                        }
-                        None => out.stale_events += 1,
-                    },
+                    EventKind::Ended { links } => {
+                        let links = u64::from(links);
+                        out.pruned_links += links;
+                        links_total -= links;
+                        members_total -= u64::from(ev.key.seq);
+                        sessions_total -= 1;
+                        out.sessions_ended += 1;
+                    }
+                    EventKind::Grafted { links } => {
+                        out.grafted_links += u64::from(links);
+                        links_total += u64::from(links);
+                        members_total += 1;
+                        out.joins += 1;
+                    }
+                    EventKind::Pruned { links } => {
+                        out.pruned_links += u64::from(links);
+                        links_total -= u64::from(links);
+                        members_total -= 1;
+                        out.leaves += 1;
+                    }
+                    EventKind::Stale => out.stale_events += 1,
+                    scheduled => unreachable!("the session pass left {scheduled:?} unapplied"),
                 }
                 out.events += 1;
-                out.peak_sessions = out.peak_sessions.max(self.sessions.len() as u64);
+                out.peak_sessions = out.peak_sessions.max(sessions_total);
                 out.peak_members = out.peak_members.max(members_total);
                 out.peak_links = out.peak_links.max(links_total);
-                if self.sample_every > 0 && out.events % self.sample_every == 0 {
+                if self.sample_every > 0 && out.events.is_multiple_of(self.sample_every) {
                     out.samples.push(StormSample {
                         time: now,
-                        sessions: self.sessions.len() as u64,
+                        sessions: sessions_total,
                         members: members_total,
                         links: links_total,
                         joins: out.joins,
@@ -651,7 +828,30 @@ impl<'g> Storm<'g> {
             mcast_obs::counter("storm.trees.batch").add(out.trees_built_batch);
             mcast_obs::counter("storm.trees.scalar").add(out.trees_built_scalar);
         }
-        Ok(out)
+    }
+}
+
+/// A per-session count that fits an event slot: links are fewer than the
+/// graph's `u32` node ids, members fewer than the calendar's events.
+fn narrow(n: u64) -> u32 {
+    u32::try_from(n).expect("a session's links and members fit a u32")
+}
+
+/// The `seq` of the last event of a session's list.
+const NO_NEXT: u32 = u32::MAX;
+
+/// Thread each session's events, in calendar order, into a list through
+/// their `seq` fields, which the sorted calendar no longer needs: after
+/// this, an event's `seq` is the position of its session's next event,
+/// or [`NO_NEXT`]. A calendar holds at most [`Storm::MAX_EVENTS`]
+/// events, so every position is below `NO_NEXT`. The only side table has
+/// one entry per session, not per event.
+fn link_sessions(calendar: &mut [Event]) {
+    let mut next_of: HashMap<u32, u32> = HashMap::new();
+    for (pos, ev) in calendar.iter_mut().enumerate().rev() {
+        ev.key.seq = next_of
+            .insert(ev.key.session, pos as u32)
+            .unwrap_or(NO_NEXT);
     }
 }
 
@@ -919,7 +1119,7 @@ mod tests {
     /// implementations must agree link-for-link after every op.
     fn assert_matches_member_tree(g: &Graph, skeleton: Arc<SourceTree>, ops: &[(bool, NodeId)]) {
         let mut dense = MemberTree::new(g, skeleton.source);
-        let mut sparse = SessionTree::new(skeleton);
+        let mut sparse = SessionTree::new(skeleton, SparseBuffers::default());
         for &(join, site) in ops {
             if join {
                 assert_eq!(dense.join(site), sparse.join(site), "join {site}");
@@ -932,7 +1132,7 @@ mod tests {
             assert_eq!(dense.member_count(), sparse.member_count());
         }
         assert_eq!(sparse.links(), 0);
-        assert!(sparse.refcount.is_empty(), "prunes empty the sparse state");
+        assert!(sparse.count.is_empty(), "prunes empty the sparse state");
     }
 
     #[test]
