@@ -1,16 +1,18 @@
 //! Golden-report regression tests for the two figures whose numbers flow
-//! through the batched BFS kernel end to end.
+//! through the batched BFS kernel end to end, and for the churn
+//! experiment, whose numbers flow through the incremental member tree.
 //!
 //! The fixtures under `goldens/` are rendered with
 //! [`mcast_experiments::render::report_canonical`] — every float as its
 //! IEEE-754 bit pattern — with `RunConfig { threads: 2, ..RunConfig::fast() }`
 //! and the rand 0.8 random stream. The commit *before* the batched kernel
 //! landed renders the same bytes, as do `results/fig6.json` and
-//! `results/fig7.json`. A byte mismatch here means a change moved a
-//! measured number, not just its formatting.
+//! `results/fig7.json`; `churn-fast.txt` was rendered the same way
+//! before churn moved onto `storm::SessionTree`. A byte mismatch here
+//! means a change moved a measured number, not just its formatting.
 
 use mcast_experiments::config::RunConfig;
-use mcast_experiments::figures::{fig6, fig7};
+use mcast_experiments::figures::{churn, fig6, fig7};
 use mcast_experiments::render::report_canonical;
 
 fn cfg() -> RunConfig {
@@ -52,6 +54,19 @@ fn fig7_report_is_byte_identical_to_prebatch_golden() {
         &report_canonical(&report),
         include_str!("goldens/fig7-fast.txt"),
         "fig7",
+    );
+}
+
+#[test]
+fn churn_report_is_byte_identical_to_its_golden() {
+    // Recorded before churn moved from the dense per-node member tree to
+    // the sparse `SessionTree`: the tree representation must not move a
+    // single number.
+    let report = churn::run(&cfg());
+    assert_canonical_eq(
+        &report_canonical(&report),
+        include_str!("goldens/churn-fast.txt"),
+        "churn",
     );
 }
 
