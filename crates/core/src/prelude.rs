@@ -24,14 +24,13 @@ pub use mcast_gen::transit_stub::TransitStubParams;
 pub use mcast_gen::waxman::WaxmanParams;
 
 pub use mcast_tree::affinity::{AffinityConfig, AffinitySampler, RootedTree};
-pub use mcast_tree::dynamics::{
-    try_simulate_churn, ChurnConfig, ChurnOutcome, LifetimeShape, MemberTree,
-};
+pub use mcast_tree::dynamics::{simulate_churn, ChurnConfig, ChurnOutcome, LifetimeShape};
 pub use mcast_tree::measure::{MeasureConfig, SourceMeasurer};
 pub use mcast_tree::policy::TieBreak;
 pub use mcast_tree::sampling::ReceiverPool;
 pub use mcast_tree::shared::SharedTreeSizer;
 pub use mcast_tree::steiner::SteinerHeuristic;
+pub use mcast_tree::storm::SessionTree;
 pub use mcast_tree::{DeliverySizer, RunningStats};
 
 pub use mcast_analysis::fit::{linear_fit, power_law_fit, LinearFit, PowerLawFit};

@@ -12,7 +12,7 @@ use crate::config::RunConfig;
 use crate::dataset::{DataSet, Report, Series};
 use crate::networks;
 use crate::runner::{parallel_map, try_parallel_map_with, CurveError, GroupFailure};
-use mcast_tree::dynamics::{try_simulate_churn, ChurnConfig, ChurnError, LifetimeShape};
+use mcast_tree::dynamics::{simulate_churn, ChurnConfig, LifetimeShape};
 use mcast_tree::sampling::{self, ReceiverPool};
 use mcast_tree::{DeliverySizer, RunningStats};
 use rand::rngs::StdRng;
@@ -48,9 +48,8 @@ pub fn run(cfg: &RunConfig) -> Report {
 
 /// Run the churn experiment, reporting per-curve failures as a
 /// [`CurveError`] like the other fallible runner paths: a panicking
-/// churn run or a typed [`ChurnError`] (calendar desync) becomes a
-/// [`GroupFailure`] naming the mean-size point, and every surviving
-/// point still runs.
+/// churn run becomes a [`GroupFailure`] naming the mean-size point, and
+/// every surviving point still runs.
 pub fn try_run(cfg: &RunConfig) -> Result<Report, CurveError> {
     let mut report = Report::new(
         "churn",
@@ -68,15 +67,13 @@ pub fn try_run(cfg: &RunConfig) -> Result<Report, CurveError> {
         crate::config::Scale::Paper | crate::config::Scale::Huge => (10_000, 120_000),
     };
 
-    // Dynamic side: one churn run per mean size (parallel). Each item is
-    // fallible twice over — the simulation can panic, and the calendar
-    // can desync (a typed ChurnError) — and both fold into the same
-    // per-group failure report.
+    // Dynamic side: one churn run per mean size (parallel). A panicking
+    // run folds into the per-group failure report.
     let dynamic_items = try_parallel_map_with(
         MEAN_SIZES.len(),
         cfg,
         |_| (),
-        |(), i| -> Result<(f64, f64, f64), ChurnError> {
+        |(), i| {
             // Same drill point as a curve's source groups: index i is
             // the mean-size point, so a fault armed for (task "churn",
             // group i) kills exactly one point of the sweep.
@@ -90,48 +87,26 @@ pub fn try_run(cfg: &RunConfig) -> Result<Report, CurveError> {
                 sample_events: events.1,
                 seed: cfg.sub_seed(&format!("churn-{nu}")),
             };
-            let out = try_simulate_churn(&graph, 0, &ccfg)?;
+            let out = simulate_churn(&graph, 0, &ccfg);
             // Signalling load: tree links grafted or pruned per membership
             // event — the quantity a static snapshot cannot see.
             let churn_cost = (out.grafts + out.prunes) as f64 / events.1 as f64;
-            Ok((out.mean_members, out.mean_links, churn_cost))
+            (out.mean_members, out.mean_links, churn_cost)
         },
     );
-    let group = |i: usize, payload: String| GroupFailure {
-        group_index: i,
-        source: 0, // every churn curve is rooted at node 0
-        source_indices: vec![i],
-        payload,
-    };
-    let dynamic: Vec<(f64, f64, f64)> = match dynamic_items {
-        Ok(items) => {
-            let failures: Vec<GroupFailure> = items
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.as_ref().err().map(|e| group(i, e.to_string())))
-                .collect();
-            if !failures.is_empty() {
-                let completed = items.len() - failures.len();
-                return Err(CurveError {
-                    failures,
-                    completed,
-                });
-            }
-            items.into_iter().map(|r| r.expect("no failures")).collect()
-        }
-        Err(map_err) => {
-            let completed = map_err.completed;
-            let failures = map_err
-                .failures
-                .into_iter()
-                .map(|f| group(f.index, f.payload))
-                .collect();
-            return Err(CurveError {
-                failures,
-                completed,
-            });
-        }
-    };
+    let dynamic: Vec<(f64, f64, f64)> = dynamic_items.map_err(|map_err| CurveError {
+        failures: map_err
+            .failures
+            .into_iter()
+            .map(|f| GroupFailure {
+                group_index: f.index,
+                source: 0, // every churn curve is rooted at node 0
+                source_indices: vec![f.index],
+                payload: f.payload,
+            })
+            .collect(),
+        completed: map_err.completed,
+    })?;
 
     // Static side: E[L̂(N)] with N ~ Poisson(mean size) — the stationary
     // group-size law of the M/M/∞ process — at the same source (0).

@@ -24,7 +24,7 @@ use crate::dataset::{DataSet, Report, Series};
 use crate::figures::chuang_sirbu_reference;
 use crate::networks;
 use crate::runner::parallel_map;
-use mcast_tree::dynamics::{ChurnConfig, LifetimeShape};
+use mcast_tree::dynamics::LifetimeShape;
 use mcast_tree::storm::{simulate_flash, simulate_steady, FlashConfig, SteadyConfig};
 
 /// Member arrival rates swept in the steady-state scenario (per-session
@@ -60,14 +60,9 @@ pub fn run(cfg: &RunConfig) -> Report {
         let scfg = SteadyConfig {
             session_rate,
             mean_session_lifetime: 2.0,
-            member: ChurnConfig {
-                arrival_rate: rate,
-                mean_lifetime: 1.0,
-                lifetime_shape: LifetimeShape::Exponential,
-                warmup_events: 0,
-                sample_events: 0,
-                seed: 0,
-            },
+            member_rate: rate,
+            mean_member_lifetime: 1.0,
+            member_lifetime_shape: LifetimeShape::Exponential,
             horizon,
             measure_from,
             sample_every: 0,

@@ -335,9 +335,9 @@ fn run_task(task: &Task, cfg: &RunConfig) -> Result<Option<Report>, TaskFailure>
             Work::Curve { build, kind, grid } => {
                 run_curve(cfg, *build, *kind, *grid).map(|()| None)
             }
-            // Churn has a typed fallible path: a desynced or panicking
-            // curve comes back as per-group failures instead of an
-            // opaque unwind, so the quarantine report can name the
+            // Churn has a fallible path: a panicking curve comes back
+            // as per-group failures instead of an opaque unwind, so the
+            // quarantine report can name the
             // mean-size point that died. Inner width is pinned to 1
             // like curve tasks — the scheduler's width is the
             // parallelism, and the thread-local fault context then

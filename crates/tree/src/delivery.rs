@@ -6,7 +6,7 @@
 //! each receiver, and `L` merely counts its links — "we do not weight the
 //! links by their length or bandwidth".
 
-use mcast_topology::bfs::{Bfs, SpTree, UNREACHED};
+use mcast_topology::bfs::{Bfs, UNREACHED};
 use mcast_topology::{Graph, NodeId};
 
 /// Incremental delivery-tree sizer bound to one (graph, source) pair.
@@ -47,24 +47,6 @@ impl DeliverySizer {
             source,
             bfs.scratch_parents().to_vec(),
             bfs.scratch_distances().to_vec(),
-        )
-    }
-
-    /// Build from a precomputed shortest-path tree.
-    pub fn from_sp_tree(tree: &SpTree) -> Self {
-        Self::from_parts(
-            tree.source(),
-            (0..tree.distances().len())
-                .map(|v| {
-                    tree.parent(v as NodeId)
-                        .unwrap_or(if v as NodeId == tree.source() {
-                            tree.source()
-                        } else {
-                            UNREACHED
-                        })
-                })
-                .collect(),
-            tree.distances().to_vec(),
         )
     }
 
@@ -250,17 +232,6 @@ mod tests {
         assert_eq!(s.unicast_links(&[2, 3, 4]), 2);
         assert_eq!(s.distance(3), None);
         assert_eq!(s.distance(2), Some(2));
-    }
-
-    #[test]
-    fn from_sp_tree_matches_from_graph() {
-        let g = binary_tree();
-        let sp = mcast_topology::bfs::Bfs::new(&g).run(0);
-        let mut a = DeliverySizer::from_sp_tree(&sp);
-        let mut b = DeliverySizer::from_graph(&g, 0);
-        for set in [&[7u32, 12][..], &[1, 2, 3][..], &[14][..]] {
-            assert_eq!(a.tree_links(set), b.tree_links(set));
-        }
     }
 
     #[test]

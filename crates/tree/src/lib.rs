@@ -24,12 +24,13 @@
 //!   how far shortest-path trees sit from cost-optimal trees;
 //! * [`policy`] — explicit shortest-path tie-breaking (lowest-id,
 //!   highest-id, randomised ECMP) over the all-shortest-paths DAG;
-//! * [`dynamics`] — join/leave membership churn with incremental
-//!   delivery-tree maintenance (session dynamics);
+//! * [`dynamics`] — join/leave membership churn of one session (session
+//!   dynamics), maintained incrementally on a [`storm::SessionTree`];
 //! * [`storm`] — event-driven churn across 10⁵+ concurrent sessions:
 //!   a deterministic `(time_bits, session, seq)` event calendar, sparse
-//!   per-session trees over shared shortest-path skeletons, and batched
-//!   flash-crowd grafts through the bit-parallel BFS kernel;
+//!   per-session trees ([`storm::SessionTree`], the crate's one
+//!   incremental member tree) over shared shortest-path skeletons, and
+//!   batched flash-crowd grafts through the bit-parallel BFS kernel;
 //! * [`affinity_general`] — the affinity model on arbitrary connected
 //!   graphs via an all-pairs distance matrix (the paper only simulates
 //!   trees).

@@ -1,9 +1,10 @@
 //! `storm`: event-driven churn across many concurrent multicast sessions.
 //!
 //! The single-session machinery in [`crate::dynamics`] answers what one
-//! group's tree does under churn; the Chuang–Sirbu law, though, is a
-//! statement about a *population* of trees, and the heavy-traffic regime
-//! the capacity-scaling literature reasons about is 10⁵–10⁶ sessions
+//! group's tree, a [`SessionTree`] like each of this engine's sessions,
+//! does under churn; the Chuang–Sirbu law, though, is a statement about
+//! a *population* of trees, and the heavy-traffic regime the
+//! capacity-scaling literature reasons about is 10⁵–10⁶ sessions
 //! churning over one shared topology. This module is that engine:
 //!
 //! * **One sorted calendar.** Events are keyed by [`EventKey`] —
@@ -33,7 +34,7 @@
 //!      into the event's own calendar slot;
 //!   3. *fold*, in time order: sum the effects into totals, peaks,
 //!      samples and time-weighted means, tick by tick.
-//! * **Shared skeletons, sparse sessions.** A dense `MemberTree` per
+//! * **Shared skeletons, sparse sessions.** A dense refcount array per
 //!   session would cost `O(sessions × nodes)` memory — 10⁵ sessions on
 //!   ti5000 is gigabytes. Instead each distinct source's shortest-path
 //!   skeleton (one parent array, built under the schedule-independent
@@ -59,7 +60,7 @@
 //! index, so per-tick L(m) telemetry is bit-identical at every thread
 //! count.
 
-use crate::dynamics::{time_order_bits, time_order_value, ChurnConfig, ChurnError};
+use crate::dynamics::{time_order_bits, time_order_value, LifetimeShape};
 use mcast_topology::batch::{max_lanes, BatchBfs, LANES_PER_WORD};
 use mcast_topology::bfs::{min_index_parents, Bfs, UNREACHED};
 use mcast_topology::{Graph, NodeId};
@@ -143,6 +144,48 @@ struct Event {
 // flash crowd): a field that widens `Event` widens the whole calendar.
 const _: () = assert!(std::mem::size_of::<Event>() == 24);
 
+/// An event calendar desynchronised from the engine's contract, or too
+/// large to schedule — a typed error, so a suite run can quarantine the
+/// one affected curve instead of aborting.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum StormError {
+    /// A session id was started twice.
+    DuplicateSession {
+        /// The offending session id.
+        session: u32,
+        /// Simulation clock at that point.
+        now: f64,
+    },
+    /// A flash scenario would schedule more events than one [`Storm`] can
+    /// hold ([`Storm::MAX_EVENTS`]); refused before the calendar is
+    /// allocated.
+    CalendarTooLarge {
+        /// Sessions requested.
+        sessions: u32,
+        /// Receivers requested per session.
+        receivers_per_session: u32,
+    },
+}
+
+impl std::fmt::Display for StormError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StormError::DuplicateSession { session, now } => {
+                write!(f, "storm calendar desync: session {session} started twice (t={now})")
+            }
+            StormError::CalendarTooLarge {
+                sessions,
+                receivers_per_session,
+            } => write!(
+                f,
+                "storm calendar too large: {sessions} sessions x {receivers_per_session} receivers need more than 2^32 - 1 events"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StormError {}
+
 /// A skeleton's parent array at the narrowest id width the graph needs:
 /// `u16` ids, with `u16::MAX` standing for [`UNREACHED`], below
 /// [`Parents::NARROW_LIMIT`] nodes, `u32` ids otherwise. Halving the
@@ -188,8 +231,10 @@ impl Parents {
 }
 
 /// One source's shortest-path skeleton: parent pointers under the
-/// lowest-id rule. `parent.get(source) == source`; unreachable nodes
-/// carry [`UNREACHED`]. Shared by every session rooted there.
+/// lowest-id rule in a storm, under the FIFO BFS rule in
+/// [`SessionTree::from_graph`]. `parent.get(source) == source`;
+/// unreachable nodes carry [`UNREACHED`]. Shared by every session rooted
+/// there.
 struct SourceTree {
     source: NodeId,
     parent: Parents,
@@ -214,7 +259,10 @@ struct Skeleton {
     starts_left: u32,
 }
 
-/// A sparse per-session member tree over a shared `SourceTree`.
+/// A sparse per-session member tree over a shared `SourceTree`: the
+/// crate's one incremental delivery tree. A storm runs one per live
+/// session; single-session churn ([`crate::dynamics::simulate_churn`])
+/// runs one built by [`SessionTree::from_graph`].
 ///
 /// State is two sorted `(node, count)` vectors, so memory scales with the
 /// session's tree, not the graph:
@@ -227,9 +275,9 @@ struct Skeleton {
 ///   one whose count stays non-zero.
 ///
 /// Members at the source or at an unreachable site are counted in
-/// `members` only: they have no link to graft. Leaves of non-members are
-/// no-ops (same hardened contract as
-/// [`crate::dynamics::MemberTree::leave`]).
+/// `members` only: they have no link to graft. A leave of a non-member is
+/// a no-op that touches no count, so a desynchronised caller can never
+/// underflow the tree.
 pub struct SessionTree {
     skeleton: Arc<SourceTree>,
     members: Vec<(NodeId, u32)>,
@@ -273,6 +321,22 @@ fn sparse_decr(vec: &mut Vec<(NodeId, u32)>, node: NodeId) -> u32 {
 type SparseBuffers = (Vec<(NodeId, u32)>, Vec<(NodeId, u32)>);
 
 impl SessionTree {
+    /// An empty session rooted at `source` on `graph`'s FIFO BFS
+    /// shortest-path tree — the tree [`crate::DeliverySizer::from_graph`]
+    /// sizes — with the skeleton's parents as narrow as a storm's.
+    ///
+    /// # Panics
+    /// Panics if `source` is out of range.
+    pub fn from_graph(graph: &Graph, source: NodeId) -> Self {
+        let mut bfs = Bfs::new(graph);
+        bfs.run_scratch(source);
+        let mut parents = bfs.scratch_parents().to_vec();
+        Self::new(
+            SourceTree::from_scratch(source, &mut parents),
+            SparseBuffers::default(),
+        )
+    }
+
     /// An empty session on `skeleton`, in `buffers` from an ended one.
     fn new(skeleton: Arc<SourceTree>, (members, count): SparseBuffers) -> Self {
         debug_assert!(members.is_empty() && count.is_empty());
@@ -567,11 +631,11 @@ impl<'g> Storm<'g> {
     /// schedule.
     ///
     /// # Errors
-    /// [`ChurnError::DuplicateSession`] if a session id starts while it
+    /// [`StormError::DuplicateSession`] if a session id starts while it
     /// is live — the calendar is desynchronised and the aggregates would
     /// silently double-count. The error names the first such start in
     /// `(time, session, seq)` order.
-    pub fn run(&mut self) -> Result<StormOutcome, ChurnError> {
+    pub fn run(&mut self) -> Result<StormOutcome, StormError> {
         let _span = mcast_obs::span_at("storm/run");
         let mut calendar = std::mem::take(&mut self.calendar);
         // Every key is unique (`seq` is), so the unstable sort is the one
@@ -672,9 +736,9 @@ impl<'g> Storm<'g> {
     /// are taken in the order of their first events.
     ///
     /// # Errors
-    /// [`ChurnError::DuplicateSession`] for the earliest start, in
+    /// [`StormError::DuplicateSession`] for the earliest start, in
     /// calendar order, of a session that is already live.
-    fn apply_sessions(&mut self, calendar: &mut [Event]) -> Result<(), ChurnError> {
+    fn apply_sessions(&mut self, calendar: &mut [Event]) -> Result<(), StormError> {
         let _span = mcast_obs::span("sessions");
         link_sessions(calendar);
         let mut duplicate: Option<usize> = None;
@@ -730,7 +794,7 @@ impl<'g> Storm<'g> {
             }
         }
         match duplicate {
-            Some(pos) => Err(ChurnError::DuplicateSession {
+            Some(pos) => Err(StormError::DuplicateSession {
                 session: calendar[pos].key.session,
                 now: time_order_value(calendar[pos].key.time_bits),
             }),
@@ -865,20 +929,23 @@ fn uniform_node(rng: &mut StdRng, n: NodeId) -> NodeId {
 
 /// Steady-state scenario: sessions arrive Poisson(`session_rate`) with
 /// exponential lifetimes (M/M/∞ over sessions), and each live session's
-/// membership churns per the embedded [`ChurnConfig`] — arrivals at
-/// uniform non-source sites, lifetimes of the configured shape. The
-/// stationary session count is `session_rate × mean_session_lifetime`.
+/// members arrive Poisson(`member_rate`) at uniform non-source sites and
+/// stay for lifetimes of mean `mean_member_lifetime` and shape
+/// `member_lifetime_shape`. The stationary session count is
+/// `session_rate × mean_session_lifetime`.
 #[derive(Clone, Copy, Debug)]
 pub struct SteadyConfig {
     /// Session arrival rate Λ.
     pub session_rate: f64,
     /// Mean session lifetime (exponential).
     pub mean_session_lifetime: f64,
-    /// Per-session membership process. Only `arrival_rate`,
-    /// `mean_lifetime` and `lifetime_shape` are read — the event horizon
-    /// and seed of the storm run come from this config, not the embedded
-    /// one.
-    pub member: ChurnConfig,
+    /// Member arrival rate λ within each live session.
+    pub member_rate: f64,
+    /// Mean membership lifetime `E[S]`.
+    pub mean_member_lifetime: f64,
+    /// Membership lifetime distribution shape (mean fixed by
+    /// `mean_member_lifetime`).
+    pub member_lifetime_shape: LifetimeShape,
     /// Generate session arrivals on `[0, horizon)`.
     pub horizon: f64,
     /// Start of the measured window (warmup before it; the window closes
@@ -895,14 +962,14 @@ pub struct SteadyConfig {
 /// # Panics
 /// Panics if rates are non-positive or the graph has fewer than two
 /// nodes.
-pub fn simulate_steady(graph: &Graph, cfg: &SteadyConfig) -> Result<StormOutcome, ChurnError> {
+pub fn simulate_steady(graph: &Graph, cfg: &SteadyConfig) -> Result<StormOutcome, StormError> {
     assert!(cfg.session_rate > 0.0, "session rate must be positive");
     assert!(
         cfg.mean_session_lifetime > 0.0,
         "session lifetime must be positive"
     );
     assert!(
-        cfg.member.arrival_rate > 0.0,
+        cfg.member_rate > 0.0,
         "member arrival rate must be positive"
     );
     assert!(graph.node_count() >= 2, "need at least two nodes");
@@ -928,7 +995,7 @@ pub fn simulate_steady(graph: &Graph, cfg: &SteadyConfig) -> Result<StormOutcome
         // protocol's prune timers firing after the session is gone.
         let mut u = t;
         loop {
-            u += exp_sample(&mut rng, cfg.member.arrival_rate);
+            u += exp_sample(&mut rng, cfg.member_rate);
             if u >= end {
                 break;
             }
@@ -939,7 +1006,10 @@ pub fn simulate_steady(graph: &Graph, cfg: &SteadyConfig) -> Result<StormOutcome
                 }
             };
             storm.schedule_join(u, session, site);
-            storm.schedule_leave(u + cfg.member.sample_lifetime(&mut rng), session, site);
+            let stay = cfg
+                .member_lifetime_shape
+                .sample(cfg.mean_member_lifetime, &mut rng);
+            storm.schedule_leave(u + stay, session, site);
         }
         storm.schedule_session_end(end, session);
         session += 1;
@@ -983,7 +1053,7 @@ pub struct FlashConfig {
 /// schedules a start, an end, and a join and a leave per receiver.
 ///
 /// # Errors
-/// [`ChurnError::CalendarTooLarge`] if that count exceeds
+/// [`StormError::CalendarTooLarge`] if that count exceeds
 /// [`Storm::MAX_EVENTS`], before anything is allocated.
 ///
 /// # Panics
@@ -993,7 +1063,7 @@ pub fn simulate_flash(
     graph: &Graph,
     root: NodeId,
     cfg: &FlashConfig,
-) -> Result<StormOutcome, ChurnError> {
+) -> Result<StormOutcome, StormError> {
     assert!(cfg.sessions > 0, "need at least one session");
     assert!(cfg.receivers_per_session > 0, "need at least one receiver");
     assert!(cfg.mean_lifetime > 0.0, "lifetime must be positive");
@@ -1003,7 +1073,7 @@ pub fn simulate_flash(
         .checked_mul(2)
         .and_then(|joins_and_leaves| joins_and_leaves.checked_add(2))
         .and_then(|per_session| per_session.checked_mul(cfg.sessions))
-        .ok_or(ChurnError::CalendarTooLarge {
+        .ok_or(StormError::CalendarTooLarge {
             sessions: cfg.sessions,
             receivers_per_session: cfg.receivers_per_session,
         })?;
@@ -1066,7 +1136,7 @@ pub fn simulate_flash(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::{LifetimeShape, MemberTree};
+    use crate::delivery::DeliverySizer;
     use mcast_topology::graph::from_edges;
 
     /// A heap-shaped binary tree on `n` nodes: node `i` hangs off
@@ -1112,27 +1182,38 @@ mod tests {
         assert_eq!(k(0.1 + 0.2, 0, 0).time_bits, k(0.1 + 0.2, 0, 0).time_bits);
     }
 
-    /// Drive a dense `MemberTree` and a `SessionTree` on `skeleton`
-    /// through `ops` (join or leave, site), which must end with every
-    /// member gone. On a tree graph the shortest-path tree is unique, so
-    /// the lowest-id rule and the scalar FIFO rule coincide and the two
-    /// implementations must agree link-for-link after every op.
+    /// Drive a `SessionTree` on `skeleton` through `ops` (join or leave,
+    /// site), which must end with every member gone, against a recount:
+    /// the member multiset sized from scratch by `DeliverySizer` after
+    /// every op. On a tree graph the shortest-path tree is unique, so the
+    /// lowest-id rule and the sizer's FIFO rule coincide, and a join's
+    /// grafts must be the recount's rise and a leave's prunes its fall.
     fn assert_matches_member_tree(g: &Graph, skeleton: Arc<SourceTree>, ops: &[(bool, NodeId)]) {
-        let mut dense = MemberTree::new(g, skeleton.source);
-        let mut sparse = SessionTree::new(skeleton, SparseBuffers::default());
+        let mut sizer = DeliverySizer::from_graph(g, skeleton.source);
+        let mut members: Vec<NodeId> = Vec::new();
+        let mut tree = SessionTree::new(skeleton, SparseBuffers::default());
         for &(join, site) in ops {
+            let before = sizer.tree_links(&members);
             if join {
-                assert_eq!(dense.join(site), sparse.join(site), "join {site}");
+                members.push(site);
+                let grafted = tree.join(site);
+                assert_eq!(grafted, sizer.tree_links(&members) - before, "join {site}");
             } else {
-                let d = dense.leave(site);
-                let s = sparse.leave(site).unwrap_or(0);
-                assert_eq!(d, s, "leave {site}");
+                let pruned = tree.leave(site);
+                match members.iter().position(|&m| m == site) {
+                    Some(i) => {
+                        members.swap_remove(i);
+                        let fall = before - sizer.tree_links(&members);
+                        assert_eq!(pruned, Some(fall), "leave {site}");
+                    }
+                    None => assert_eq!(pruned, None, "leave of non-member {site}"),
+                }
             }
-            assert_eq!(dense.links(), sparse.links());
-            assert_eq!(dense.member_count(), sparse.member_count());
+            assert_eq!(tree.links(), sizer.tree_links(&members));
+            assert_eq!(tree.member_count(), members.len() as u64);
         }
-        assert_eq!(sparse.links(), 0);
-        assert!(sparse.count.is_empty(), "prunes empty the sparse state");
+        assert_eq!(tree.links(), 0);
+        assert!(tree.count.is_empty(), "prunes empty the sparse state");
     }
 
     #[test]
@@ -1149,7 +1230,7 @@ mod tests {
             (false, 44),
             (true, 61),
             (false, 23),
-            (false, 23), // double leave: no-op on both
+            (false, 23), // double leave: a no-op
             (true, 12),
             (false, 9),
             (false, 61),
@@ -1173,7 +1254,7 @@ mod tests {
             (true, 0),
             (true, n - 1),
             (false, 65_535),
-            (false, 65_535), // double leave: no-op on both
+            (false, 65_535), // double leave: a no-op
             (true, 40_000),
             (false, n - 1),
             (false, 0),
@@ -1227,12 +1308,15 @@ mod tests {
         let err = simulate_flash(&binary_tree(3), 0, &cfg).unwrap_err();
         assert_eq!(
             err,
-            ChurnError::CalendarTooLarge {
+            StormError::CalendarTooLarge {
                 sessions: 1 << 30,
                 receivers_per_session: 1
             }
         );
-        assert!(err.to_string().contains("2^32 - 1"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "storm calendar too large: 1073741824 sessions x 1 receivers need more than 2^32 - 1 events"
+        );
     }
 
     #[test]
@@ -1445,14 +1529,9 @@ mod tests {
         let cfg = SteadyConfig {
             session_rate: 40.0,
             mean_session_lifetime: 2.0,
-            member: ChurnConfig {
-                arrival_rate: 6.0,
-                mean_lifetime: 1.0,
-                lifetime_shape: LifetimeShape::Exponential,
-                warmup_events: 0,
-                sample_events: 0,
-                seed: 0,
-            },
+            member_rate: 6.0,
+            mean_member_lifetime: 1.0,
+            member_lifetime_shape: LifetimeShape::Exponential,
             horizon: 60.0,
             measure_from: 20.0,
             sample_every: 1024,
@@ -1485,12 +1564,15 @@ mod tests {
         let err = storm.run().unwrap_err();
         assert_eq!(
             err,
-            ChurnError::DuplicateSession {
+            StormError::DuplicateSession {
                 session: 5,
                 now: 1.0
             }
         );
-        assert!(err.to_string().contains("session 5"));
+        assert_eq!(
+            err.to_string(),
+            "storm calendar desync: session 5 started twice (t=1)"
+        );
         assert_eq!(storm.pending_events(), 0, "the error consumed the calendar");
     }
 

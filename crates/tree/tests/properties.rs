@@ -5,11 +5,11 @@ use mcast_topology::graph::{from_edges, Graph};
 use mcast_topology::NodeId;
 use mcast_tree::affinity::{AffinitySampler, RootedTree};
 use mcast_tree::delivery::DeliverySizer;
-use mcast_tree::dynamics::{try_simulate_churn, ChurnConfig, LifetimeShape, MemberTree};
+use mcast_tree::dynamics::{simulate_churn, ChurnConfig, LifetimeShape};
 use mcast_tree::extremes;
 use mcast_tree::policy::{sizer_with_policy, TieBreak};
 use mcast_tree::stats::RunningStats;
-use mcast_tree::storm::Storm;
+use mcast_tree::storm::{SessionTree, Storm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,27 +30,48 @@ fn tree_strategy() -> impl Strategy<Value = Graph> {
         .prop_map(|(n, attach)| random_tree(n, &attach))
 }
 
+/// Random connected graph: a random tree plus random chords, so shortest
+/// paths tie and the tree depends on the BFS parent rule.
+fn connected_strategy() -> impl Strategy<Value = Graph> {
+    (
+        tree_strategy(),
+        proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
+    )
+        .prop_map(|(tree, chords)| {
+            let n = tree.node_count() as u32;
+            let mut edges: Vec<(NodeId, NodeId)> = tree.edges().collect();
+            edges.extend(chords.into_iter().map(|(a, b)| (a % n, b % n)));
+            from_edges(n as usize, &edges)
+        })
+}
+
 proptest! {
     #[test]
     fn member_tree_tracks_delivery_sizer_through_churn(
-        graph in tree_strategy(),
+        graph in connected_strategy(),
         ops in proptest::collection::vec((any::<bool>(), any::<u32>()), 1..60),
     ) {
+        // `SessionTree::from_graph` and `DeliverySizer::from_graph` take
+        // the same FIFO BFS tree, so they agree even where paths tie.
         let n = graph.node_count() as u32;
-        let mut member_tree = MemberTree::new(&graph, 0);
+        let mut member_tree = SessionTree::from_graph(&graph, 0);
         let mut sizer = DeliverySizer::from_graph(&graph, 0);
         let mut members: Vec<NodeId> = Vec::new();
         for (join, pick) in ops {
+            let before = sizer.tree_links(&members);
             if join || members.is_empty() {
                 let site = 1 + pick % (n - 1);
-                member_tree.join(site);
                 members.push(site);
+                let grafted = member_tree.join(site);
+                prop_assert_eq!(grafted, sizer.tree_links(&members) - before);
             } else {
                 let idx = (pick as usize) % members.len();
                 let site = members.swap_remove(idx);
-                member_tree.leave(site);
+                let pruned = member_tree.leave(site);
+                prop_assert_eq!(pruned, Some(before - sizer.tree_links(&members)));
             }
             prop_assert_eq!(member_tree.links(), sizer.tree_links(&members));
+            prop_assert_eq!(member_tree.member_count(), members.len() as u64);
         }
     }
 
@@ -218,7 +239,7 @@ proptest! {
     // order is exactly the arrival order.
     #[test]
     fn churn_replays_bit_identically_across_lifetime_shapes(
-        graph in tree_strategy(),
+        graph in connected_strategy(),
         shape_pick in 0u8..3,
         seed in any::<u64>(),
     ) {
@@ -235,8 +256,8 @@ proptest! {
             sample_events: 120,
             seed,
         };
-        let a = try_simulate_churn(&graph, 0, &cfg).expect("calendar stays in sync");
-        let b = try_simulate_churn(&graph, 0, &cfg).expect("calendar stays in sync");
+        let a = simulate_churn(&graph, 0, &cfg);
+        let b = simulate_churn(&graph, 0, &cfg);
         prop_assert_eq!(a.mean_links.to_bits(), b.mean_links.to_bits());
         prop_assert_eq!(a.mean_members.to_bits(), b.mean_members.to_bits());
         prop_assert_eq!(a.link_samples.count(), b.link_samples.count());

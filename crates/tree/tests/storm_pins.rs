@@ -9,7 +9,7 @@
 
 use mcast_gen::random::gnp_connected;
 use mcast_topology::Graph;
-use mcast_tree::dynamics::{ChurnConfig, LifetimeShape};
+use mcast_tree::dynamics::LifetimeShape;
 use mcast_tree::storm::{
     simulate_flash, simulate_steady, FlashConfig, SteadyConfig, StormOutcome, StormSample,
 };
@@ -38,14 +38,9 @@ fn steady_cfg() -> SteadyConfig {
     SteadyConfig {
         session_rate: 20.0,
         mean_session_lifetime: 2.0,
-        member: ChurnConfig {
-            arrival_rate: 3.0,
-            mean_lifetime: 1.0,
-            lifetime_shape: LifetimeShape::Exponential,
-            warmup_events: 0,
-            sample_events: 0,
-            seed: 0,
-        },
+        member_rate: 3.0,
+        mean_member_lifetime: 1.0,
+        member_lifetime_shape: LifetimeShape::Exponential,
         horizon: 12.0,
         measure_from: 4.0,
         sample_every: 250,

@@ -3,17 +3,19 @@
 //! `Storm::run` applies each session's events back to back and folds the
 //! effects in time order afterwards. The reference here does what the
 //! engine's contract describes, the plain way: one pass over the events
-//! in `(time, session, seq)` order, a dense `dynamics::MemberTree` per
-//! live session, and the same per-tick skeleton batching rule for the
-//! build counters. On forests every shortest-path tree is unique, so the
-//! two must agree on every `StormOutcome` field, bit for bit, or on the
-//! error.
+//! in `(time, session, seq)` order, a member multiset per live session
+//! whose tree `DeliverySizer` recounts from scratch after every event (a
+//! join's grafts are the rise in links, a leave's prunes the fall), and
+//! the same per-tick skeleton batching rule for the build counters. On
+//! forests every shortest-path tree is unique, so the two must agree on
+//! every `StormOutcome` field, bit for bit, or on the error.
 
 use mcast_topology::batch::max_lanes;
 use mcast_topology::graph::{from_edges, Graph};
 use mcast_topology::NodeId;
-use mcast_tree::dynamics::{time_order_bits, time_order_value, ChurnError, MemberTree};
-use mcast_tree::storm::{Storm, StormOutcome, StormSample};
+use mcast_tree::delivery::DeliverySizer;
+use mcast_tree::dynamics::{time_order_bits, time_order_value};
+use mcast_tree::storm::{Storm, StormError, StormOutcome, StormSample};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -45,7 +47,7 @@ fn run_storm(
     graph: &Graph,
     calendar: &[Scheduled],
     s: Settings,
-) -> Result<StormOutcome, ChurnError> {
+) -> Result<StormOutcome, StormError> {
     let mut storm = Storm::new(graph)
         .batch_threshold(s.threshold)
         .sample_every(s.sample_every)
@@ -62,15 +64,33 @@ fn run_storm(
     storm.run()
 }
 
-/// The time-ordered replay: every event applied to its session's dense
-/// tree the moment the clock reaches it.
-fn replay(graph: &Graph, calendar: &[Scheduled], s: Settings) -> Result<StormOutcome, ChurnError> {
+/// A live session of the replay: its members, with repeats, and the
+/// links of their delivery tree as last recounted.
+struct Recount {
+    sizer: DeliverySizer,
+    members: Vec<NodeId>,
+    links: u64,
+}
+
+impl Recount {
+    /// Size the tree of the current members from scratch; returns the
+    /// link count before and after.
+    fn recount(&mut self) -> (u64, u64) {
+        let before = self.links;
+        self.links = self.sizer.tree_links(&self.members);
+        (before, self.links)
+    }
+}
+
+/// The time-ordered replay: every event applied to its session's member
+/// multiset the moment the clock reaches it.
+fn replay(graph: &Graph, calendar: &[Scheduled], s: Settings) -> Result<StormOutcome, StormError> {
     let bits = |i: usize| time_order_bits(calendar[i].0);
     let mut order: Vec<usize> = (0..calendar.len()).collect();
     order.sort_by_key(|&i| (bits(i), calendar[i].1, i));
 
     let mut out = StormOutcome::default();
-    let mut live: HashMap<u32, MemberTree> = HashMap::new();
+    let mut live: HashMap<u32, Recount> = HashMap::new();
     let mut built: HashSet<NodeId> = HashSet::new();
     let (mut links, mut members) = (0u64, 0u64);
     let mut now = 0.0f64;
@@ -114,26 +134,36 @@ fn replay(graph: &Graph, calendar: &[Scheduled], s: Settings) -> Result<StormOut
             match op {
                 Op::Start(source) => {
                     if live.contains_key(&session) {
-                        return Err(ChurnError::DuplicateSession { session, now });
+                        return Err(StormError::DuplicateSession { session, now });
                     }
                     if built.insert(source) {
                         out.trees_built_scalar += 1;
                     }
-                    live.insert(session, MemberTree::new(graph, source));
+                    let sizer = DeliverySizer::from_graph(graph, source);
+                    live.insert(
+                        session,
+                        Recount {
+                            sizer,
+                            members: Vec::new(),
+                            links: 0,
+                        },
+                    );
                     out.sessions_started += 1;
                 }
                 Op::End => match live.remove(&session) {
                     Some(tree) => {
-                        out.pruned_links += tree.links();
-                        links -= tree.links();
-                        members -= tree.member_count();
+                        out.pruned_links += tree.links;
+                        links -= tree.links;
+                        members -= tree.members.len() as u64;
                         out.sessions_ended += 1;
                     }
                     None => out.stale_events += 1,
                 },
                 Op::Join(site) => match live.get_mut(&session) {
                     Some(tree) => {
-                        let g = tree.join(site);
+                        tree.members.push(site);
+                        let (before, after) = tree.recount();
+                        let g = after - before;
                         out.grafted_links += g;
                         links += g;
                         members += 1;
@@ -141,12 +171,14 @@ fn replay(graph: &Graph, calendar: &[Scheduled], s: Settings) -> Result<StormOut
                     }
                     None => out.stale_events += 1,
                 },
-                Op::Leave(site) => match live
-                    .get_mut(&session)
-                    .filter(|tree| tree.members_at(site) > 0)
-                {
-                    Some(tree) => {
-                        let p = tree.leave(site);
+                Op::Leave(site) => match live.get_mut(&session).and_then(|tree| {
+                    let at = tree.members.iter().position(|&m| m == site)?;
+                    Some((tree, at))
+                }) {
+                    Some((tree, at)) => {
+                        tree.members.swap_remove(at);
+                        let (before, after) = tree.recount();
+                        let p = before - after;
                         out.pruned_links += p;
                         links -= p;
                         members -= 1;
@@ -356,7 +388,7 @@ fn the_error_names_the_earliest_duplicate_in_time_session_seq_order() {
         (1.5, 1, Op::End),
         (1.5, 1, Op::Start(5)),
     ];
-    let expected = ChurnError::DuplicateSession {
+    let expected = StormError::DuplicateSession {
         session: 5,
         now: 2.0,
     };

@@ -33,7 +33,7 @@ fn main() {
             sample_events: 30_000,
             seed: 42,
         };
-        let out = try_simulate_churn(&graph, 0, &cfg).expect("calendar stays in sync");
+        let out = simulate_churn(&graph, 0, &cfg);
         let charge = tariff.charge(nu.round() as usize);
         println!(
             "{:>9} {:>8.1} {:>11.1} {:>10.1} {:>12.2} {:>18.2}",
