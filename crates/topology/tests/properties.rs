@@ -137,6 +137,85 @@ proptest! {
     }
 }
 
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The per-source scalar accumulation the path statistics were first
+/// written as: one BFS per listed source (duplicates included), summing
+/// every positive distance as an exact integer.
+fn scalar_path_stats(g: &Graph, sources: &[NodeId]) -> (f64, u32) {
+    let mut bfs = Bfs::new(g);
+    let (mut total, mut pairs, mut diam) = (0u128, 0u128, 0u32);
+    for &s in sources {
+        bfs.run_scratch(s);
+        for &u in bfs.scratch_order() {
+            let d = bfs.scratch_distances()[u as usize];
+            if d > 0 {
+                total += u128::from(d);
+                pairs += 1;
+                diam = diam.max(d);
+            }
+        }
+    }
+    if pairs == 0 {
+        (0.0, 0)
+    } else {
+        (total as f64 / pairs as f64, diam)
+    }
+}
+
+// The path statistics against the scalar loop, bit for bit, on sparse
+// random graphs: about half the nodes end up degree 0 or 1, so the
+// batched sweep's leaf and isolated sources are routine, and graphs past
+// 512 nodes take two lane chunks. Sampled sources repeat and always
+// include a leaf and an isolated node when the graph has one.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn path_stats_are_bit_identical_to_the_scalar_loop(
+        small in 2usize..40,
+        big in any::<bool>(),
+        density in 0usize..120,
+        source_count in 1usize..600,
+        seed in any::<u64>(),
+    ) {
+        let n = if big { 513 + 5 * small } else { small };
+        let mut state = seed;
+        let edges: Vec<(NodeId, NodeId)> = (0..n * density / 100)
+            .map(|_| {
+                let u = (splitmix(&mut state) % n as u64) as NodeId;
+                let v = (splitmix(&mut state) % n as u64) as NodeId;
+                (u, v)
+            })
+            .collect();
+        let g = from_edges(n, &edges);
+
+        let all: Vec<NodeId> = g.nodes().collect();
+        let (exact, diam) = exact_path_stats(&g);
+        let (want, want_diam) = scalar_path_stats(&g, &all);
+        prop_assert_eq!(exact.to_bits(), want.to_bits(), "{} vs {}", exact, want);
+        prop_assert_eq!(diam, want_diam);
+
+        let mut sources: Vec<NodeId> = (0..source_count)
+            .map(|_| (splitmix(&mut state) % n as u64) as NodeId)
+            .collect();
+        if sources.len() >= 2 {
+            sources[0] = sources[1];
+        }
+        sources.extend(g.nodes().find(|&v| g.degree(v) == 1));
+        sources.extend(g.nodes().find(|&v| g.degree(v) == 0));
+        let (sampled, max_seen) = sampled_path_stats(&g, &sources);
+        let (want, want_max) = scalar_path_stats(&g, &sources);
+        prop_assert_eq!(sampled.to_bits(), want.to_bits(), "{} vs {}", sampled, want);
+        prop_assert_eq!(max_seen, want_max);
+    }
+}
+
 // BFS against a reference Floyd–Warshall on small graphs.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
