@@ -14,7 +14,7 @@ use crate::networks::{self, Network};
 use crate::runner::{log_grid, parallel_lhat_curve};
 use mcast_analysis::fit::linear_fit;
 use mcast_analysis::reachability::empirical_all_sites;
-use mcast_topology::batch::{max_lanes, BatchBfs};
+use mcast_topology::bfs::Bfs;
 use mcast_topology::reachability::Reachability;
 use mcast_topology::Graph;
 
@@ -32,24 +32,19 @@ pub(crate) fn grid(graph: &Graph) -> Vec<usize> {
 /// and normalised like the measurement.
 fn prediction(net: &Network, ns: &[usize]) -> Vec<(f64, f64)> {
     let sources = spread_sources(&net.graph, 16);
-    let mut batch = BatchBfs::new(&net.graph);
+    let mut bfs = Bfs::new(&net.graph);
     let mut acc = vec![0.0f64; ns.len()];
-    // The batched sweep hands back each lane's S(r) histogram directly;
-    // the per-source accumulation below is unchanged (and runs in source
-    // order), so the predicted series is bit-identical to the scalar path.
-    for chunk in sources.chunks(max_lanes()) {
-        batch.run_profiles(chunk);
-        for lane in 0..batch.lanes() {
-            let profile = Reachability::from_level_counts(batch.level_counts(lane).to_vec());
-            // Mean distance from this source (sites = all reached, minus self).
-            let reached = profile.total() as f64;
-            let mean_dist: f64 = (1..=profile.eccentricity())
-                .map(|r| r as f64 * profile.s(r) as f64)
-                .sum::<f64>()
-                / (reached - 1.0);
-            for (i, &n) in ns.iter().enumerate() {
-                acc[i] += empirical_all_sites(&profile, n as f64) / (n as f64 * mean_dist);
-            }
+    for &source in &sources {
+        bfs.run_scratch(source);
+        let profile = Reachability::from_distances(bfs.scratch_distances(), bfs.scratch_order());
+        // Mean distance from this source (sites = all reached, minus self).
+        let reached = profile.total() as f64;
+        let mean_dist: f64 = (1..=profile.eccentricity())
+            .map(|r| r as f64 * profile.s(r) as f64)
+            .sum::<f64>()
+            / (reached - 1.0);
+        for (i, &n) in ns.iter().enumerate() {
+            acc[i] += empirical_all_sites(&profile, n as f64) / (n as f64 * mean_dist);
         }
     }
     ns.iter()

@@ -9,17 +9,17 @@
 //! source node) rather than raw source indices: each worker owns a
 //! [`MeasureEngine`] that persists across its items, so a group costs one
 //! BFS no matter how many times the paper's with-replacement draw repeated
-//! its node, and the steady-state sampling path allocates nothing.
+//! its node, and the steady-state sampling path allocates nothing. That
+//! BFS is the group's only traversal: the source's `ū` is scanned from the
+//! distances it fills.
 
 use crate::config::RunConfig;
 use mcast_obs::Progress;
 use mcast_store::checkpoint::{CheckpointWriter, GroupRecord, IndexStats};
 use mcast_store::{CacheHandle, Key, KeyBuilder, ObjectKind};
-use mcast_topology::batch::{max_lanes, BatchBfs};
 use mcast_topology::{Graph, NodeId};
 use mcast_tree::measure::{
-    batched_mean_distances, measure_group, merge_indexed, CurvePoint, MeasureConfig, MeasureEngine,
-    SampleKind, SourcePlan,
+    measure_group, merge_indexed, CurvePoint, MeasureConfig, MeasureEngine, SampleKind, SourcePlan,
 };
 use mcast_tree::RunningStats;
 use std::collections::HashMap;
@@ -460,11 +460,6 @@ fn try_measure_curve(
         .filter(|(_, g)| g.indices.iter().any(|&i| done[i].is_none()))
         .map(|(gi, _)| gi)
         .collect();
-    // One bit-parallel sweep over the pending groups' distinct sources
-    // computes every ū up front (64 per traversal); each group then binds
-    // with its mean precomputed instead of scanning the receiver pool.
-    let pending_nodes: Vec<NodeId> = pending.iter().map(|&gi| plan.groups()[gi].node).collect();
-    let means = plan_mean_distances(graph, &pending_nodes, cfg);
     let progress = Progress::new("measure", plan.total() as u64);
     let samples_per_source = (xs.len() * mcfg.receiver_sets) as u64;
     let resumed_indices = plan.total()
@@ -484,8 +479,7 @@ fn try_measure_curve(
             let gi = pending[k];
             crate::fault::hit_group(gi);
             let group = &plan.groups()[gi];
-            let mean = means.as_ref().map(|m| m[k]);
-            let out = measure_group(engine, group, xs, mcfg, kind, mean);
+            let out = measure_group(engine, group, xs, mcfg, kind);
             if let Some(writer) = ckpt {
                 let record = GroupRecord {
                     entries: out
@@ -556,35 +550,6 @@ fn try_measure_curve(
         }
     }
     Ok(merge_indexed(xs, done))
-}
-
-/// Plan-level ū pre-sweep: one bit-parallel sweep per lane-width batch of
-/// pending distinct sources replaces each group's O(V) receiver-pool
-/// distance scan. The
-/// batched means are bit-identical to the scans
-/// ([`batched_mean_distances`]), so curves are unchanged; if the sweep
-/// itself panics the caller falls back to the scanning path rather than
-/// failing the curve.
-fn plan_mean_distances(graph: &Graph, nodes: &[NodeId], cfg: &RunConfig) -> Option<Vec<f64>> {
-    if nodes.is_empty() {
-        return Some(Vec::new());
-    }
-    let chunks: Vec<&[NodeId]> = nodes.chunks(max_lanes()).collect();
-    match try_parallel_map_with(
-        chunks.len(),
-        cfg,
-        |_worker| BatchBfs::new(graph),
-        |batch, ci| batched_mean_distances(batch, chunks[ci]),
-    ) {
-        Ok(per_chunk) => Some(per_chunk.into_iter().flatten().collect()),
-        Err(e) => {
-            mcast_obs::warn!(
-                "runner",
-                "mean-distance pre-sweep failed ({e}); falling back to per-source scans"
-            );
-            None
-        }
-    }
 }
 
 /// Cache key for one measured curve: every input that determines the
@@ -1013,8 +978,7 @@ pub(crate) mod tests {
                 assert!(survivors >= 1, "test needs at least one finished group");
                 let mut engine = MeasureEngine::new(&g);
                 for group in &plan.groups()[..survivors] {
-                    let out =
-                        measure_group(&mut engine, group, &xs, &mcfg, SampleKind::Ratio, None);
+                    let out = measure_group(&mut engine, group, &xs, &mcfg, SampleKind::Ratio);
                     writer
                         .append(&GroupRecord {
                             entries: out

@@ -1,6 +1,8 @@
-//! Golden-report regression tests for the two figures whose numbers flow
-//! through the batched BFS kernel end to end, and for the churn
-//! experiment, whose numbers flow through the incremental member tree.
+//! Golden-report regression tests for the two §4 figures — fig7's
+//! averaged `T(r)` flows through the batched BFS kernel's totals sweep,
+//! fig6's measured curves and Eq 30 prediction through the scalar BFS —
+//! and for the churn experiment, whose numbers flow through the
+//! incremental member tree.
 //!
 //! The fixtures under `goldens/` are rendered with
 //! [`mcast_experiments::render::report_canonical`] — every float as its
@@ -14,6 +16,14 @@
 use mcast_experiments::config::RunConfig;
 use mcast_experiments::figures::{churn, fig6, fig7};
 use mcast_experiments::render::report_canonical;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises the tests that must see the kernel's default direction and
+/// lane width against the one that overrides those process globals.
+fn kernel_mode_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn cfg() -> RunConfig {
     RunConfig {
@@ -49,6 +59,7 @@ fn fig6_report_is_byte_identical_to_prebatch_golden() {
 
 #[test]
 fn fig7_report_is_byte_identical_to_prebatch_golden() {
+    let _mode = kernel_mode_lock();
     let report = fig7::run(&cfg());
     assert_canonical_eq(
         &report_canonical(&report),
@@ -71,28 +82,30 @@ fn churn_report_is_byte_identical_to_its_golden() {
 }
 
 #[test]
-fn fig6_report_is_byte_identical_in_every_kernel_mode() {
+fn fig7_report_is_byte_identical_in_every_kernel_mode() {
     // The direction-optimising wide-lane kernel must not move a single
-    // bit of any artefact: replay fig6 with the traversal forced
-    // top-down, forced bottom-up, and at each supported lane cap, and
-    // demand the pre-batch golden every time. (Overrides are process
-    // globals; restore them even though tests in this binary run the
-    // figure serially.)
+    // bit of any artefact: replay fig7 (whose T(r) comes from
+    // `run_totals`) with the traversal forced top-down, forced
+    // bottom-up, and at each supported lane cap, and demand the
+    // pre-batch golden every time. The overrides are process globals,
+    // so the lock keeps the default-mode golden test out of this one.
+    // storm_pins.rs does the same for the distance-recording `run`.
     use mcast_topology::batch::{set_direction_override, set_lane_limit, DirectionOverride};
-    let golden = include_str!("goldens/fig6-fast.txt");
+    let _mode = kernel_mode_lock();
+    let golden = include_str!("goldens/fig7-fast.txt");
     for (name, dir) in [
         ("push-only", DirectionOverride::Push),
         ("pull-enabled", DirectionOverride::Pull),
         ("auto", DirectionOverride::Auto),
     ] {
         set_direction_override(Some(dir));
-        let report = fig6::run(&cfg());
+        let report = fig7::run(&cfg());
         set_direction_override(None);
         assert_canonical_eq(&report_canonical(&report), golden, name);
     }
     for width in [64usize, 256, 512] {
         set_lane_limit(Some(width));
-        let report = fig6::run(&cfg());
+        let report = fig7::run(&cfg());
         set_lane_limit(None);
         assert_canonical_eq(
             &report_canonical(&report),

@@ -36,23 +36,22 @@
 //! level-synchronous), so distances and histograms are bit-identical in
 //! every mode and at every width; `batch_props.rs` pins this.
 //!
-//! The per-lane distance arrays are identical to what [`crate::bfs::Bfs`]
-//! produces for each source (BFS distances are unique, so the traversal
-//! schedule cannot change them), and the per-lane newly-reached counts
-//! recorded at each level *are* the paper's `S(r)` histogram — consumers
-//! that only need profiles call [`BatchBfs::run_profiles`], which skips
-//! the distance arrays entirely and counts discoveries with a bit-sliced
-//! positional popcount instead of per-bit scans.
+//! The engine has two entry points, one job each:
 //!
-//! One consumer needs even less: the averaged-reachability fold only
-//! reads the *lane-summed* histogram `Σ_lane S_lane(r)`.
-//! [`BatchBfs::run_totals`] serves it from a **leaf-folded** traversal —
-//! only nodes of degree ≥ 2 carry mask words, and every degree-≤1 node
-//! is counted analytically from its sole neighbour's discoveries
-//! (exactly those lanes reach it, one level later, and nothing else ever
-//! can). The paper's tree-like topologies are mostly leaves (ti5000:
-//! 87%), so the folded sweep touches a core an order of magnitude
-//! smaller than the graph while producing bit-identical histograms.
+//! * [`BatchBfs::run`] records per-lane distance arrays, identical to what
+//!   [`crate::bfs::Bfs`] produces for each source (BFS distances are
+//!   unique, so the traversal schedule cannot change them). Its consumer
+//!   is [`BatchBfs::parent_tree`].
+//! * [`BatchBfs::run_totals`] records only the *lane-summed* histogram
+//!   `Σ_lane S_lane(r)` — all that the averaged `T(r)` and the path
+//!   statistics (`Σ r·S(r)`, `Σ S(r) − lanes`, the largest eccentricity)
+//!   read. It traverses a **leaf-folded** view: only nodes of degree ≥ 2
+//!   carry mask words, and every degree-≤1 node is counted analytically
+//!   from its sole neighbour's discoveries (exactly those lanes reach it,
+//!   one level later, and nothing else ever can). The paper's tree-like
+//!   topologies are mostly leaves (ti5000: 87%), so the folded sweep
+//!   touches a core an order of magnitude smaller than the graph while
+//!   producing bit-identical histograms.
 //!
 //! What the kernel deliberately does **not** record is BFS parents: parent
 //! choice depends on the scalar queue's FIFO discovery order, which a
@@ -93,12 +92,6 @@ pub const DEFAULT_BETA: u64 = 24;
 /// Edge span (CSR entries) one pull block scans before moving on; bounds
 /// the working set of neighbour frontier words per block.
 const PULL_EDGE_BLOCK: usize = 1 << 15;
-
-/// Sweep recording mode: per-lane distance arrays ([`BatchBfs::run`]).
-const MODE_DIST: u8 = 0;
-/// Sweep recording mode: per-lane `S(r)` histograms
-/// ([`BatchBfs::run_profiles`]).
-const MODE_PROFILES: u8 = 1;
 
 /// Per-level traversal direction policy for one [`BatchBfs`] engine.
 ///
@@ -209,57 +202,18 @@ fn words_for(lanes: usize) -> usize {
     }
 }
 
-/// Bit-sliced vertical counter (positional popcount): accumulates mask
-/// words and flushes per-lane totals. The eight planes hold an 8-bit
-/// ripple-carry counter per lane, so up to 255 words can be added between
-/// flushes — profile sweeps count a whole level's discoveries without a
-/// single per-bit loop on the hot path.
-#[derive(Clone, Copy)]
-struct LaneCounter {
-    planes: [u64; 8],
-    pending: u16,
-}
-
-impl LaneCounter {
-    fn new() -> Self {
-        Self {
-            planes: [0; 8],
-            pending: 0,
+/// Record `level` as node `xi`'s distance in every lane set in `new` (the
+/// lanes that discovered `xi` this level).
+#[inline]
+fn record_level<const W: usize>(dist: &mut [u32], n: usize, xi: usize, new: &[u64; W], level: u32) {
+    for (k, &nw) in new.iter().enumerate() {
+        let base = k * LANES_PER_WORD;
+        let mut bits = nw;
+        while bits != 0 {
+            let lane = base + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            dist[lane * n + xi] = level;
         }
-    }
-
-    #[inline]
-    fn add(&mut self, w: u64, out: &mut [u64]) {
-        if self.pending == 255 {
-            self.flush(out);
-        }
-        let mut carry = w;
-        for p in &mut self.planes {
-            let t = *p & carry;
-            *p ^= carry;
-            carry = t;
-            if carry == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(carry, 0, "8-bit lane counter overflowed");
-        self.pending += 1;
-    }
-
-    fn flush(&mut self, out: &mut [u64]) {
-        if self.pending == 0 {
-            return;
-        }
-        for (k, p) in self.planes.iter_mut().enumerate() {
-            let mut bits = *p;
-            *p = 0;
-            while bits != 0 {
-                let lane = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out[lane] += 1u64 << k;
-            }
-        }
-        self.pending = 0;
     }
 }
 
@@ -277,34 +231,19 @@ impl LaneCounter {
 struct CoreRep {
     /// Core index per node (`u32::MAX` marks a folded node).
     core_id: Vec<u32>,
-    /// CSR offsets of the core-only adjacency, in core-id space.
-    core_off: Vec<u32>,
+    /// CSR offsets of the core-only adjacency, in core-id space. `usize`,
+    /// like the graph's own offsets at their widest, so no core can
+    /// outgrow them.
+    core_off: Vec<usize>,
     /// Core-only neighbour lists, in core-id space.
     core_neigh: Vec<u32>,
     /// Folded degree-≤1 neighbours per core node.
     leaf_count: Vec<u32>,
 }
 
-/// Lifecycle of the leaf-folded view: built lazily on the first totals
-/// sweep, and permanently declined when the core's directed arc count
-/// would overflow the `u32` cursors ([`CoreRep::core_off`]) — in that
-/// case [`BatchBfs::run_totals`] serves bit-identical histograms from a
-/// profile sweep instead of truncating offsets.
-enum CoreState {
-    /// No totals sweep has run yet.
-    Unbuilt,
-    /// Folded view available.
-    Ready(CoreRep),
-    /// Core arc count past the cap; totals fall back to profile folding.
-    TooLarge,
-}
-
 impl CoreRep {
-    /// Build the folded view, or `None` if the core's directed arc count
-    /// exceeds `arc_cap` (normally `u32::MAX`: the `core_off` cursor
-    /// width — reachable only past the 2^32 directed-arc boundary, i.e.
-    /// > 17 GiB of adjacency; tests inject a tiny cap to exercise it).
-    fn try_build(graph: &Graph, arc_cap: usize) -> Option<Self> {
+    /// Build the folded view of `graph`.
+    fn build(graph: &Graph) -> Self {
         let n = graph.node_count();
         let offsets = graph.csr_offsets();
         let neigh = graph.csr_neighbors();
@@ -318,9 +257,8 @@ impl CoreRep {
                 ncore += 1;
             }
         }
-        // Exact pre-count of the core arcs so every `core_off` push below
-        // is guaranteed in range (the graph's total arc count may exceed
-        // the cap while the leaf-stripped core still fits).
+        // Exact pre-count of the core arcs, so the neighbour list is
+        // allocated once at its final size.
         for v in 0..n {
             if core_id[v] == u32::MAX {
                 continue;
@@ -330,11 +268,8 @@ impl CoreRep {
                 .filter(|&&x| core_id[x as usize] != u32::MAX)
                 .count();
         }
-        if core_arcs > arc_cap {
-            return None;
-        }
         let mut core_off = Vec::with_capacity(ncore as usize + 1);
-        core_off.push(0u32);
+        core_off.push(0);
         let mut core_neigh = Vec::with_capacity(core_arcs);
         let mut leaf_count = vec![0u32; ncore as usize];
         for v in 0..n {
@@ -350,15 +285,15 @@ impl CoreRep {
                     leaf_count[ci as usize] += 1;
                 }
             }
-            debug_assert!(core_neigh.len() <= core_arcs, "core arc pre-count drifted");
-            core_off.push(core_neigh.len() as u32);
+            core_off.push(core_neigh.len());
         }
-        Some(Self {
+        debug_assert_eq!(core_neigh.len(), core_arcs, "core arc pre-count drifted");
+        Self {
             core_id,
             core_off,
             core_neigh,
             leaf_count,
-        })
+        }
     }
 }
 
@@ -375,7 +310,9 @@ impl CoreRep {
 /// let mut scalar = Bfs::new(&g);
 /// scalar.run_scratch(0);
 /// assert_eq!(batch.distances(0), scalar.scratch_distances());
-/// assert_eq!(batch.level_counts(1), &[1, 2, 2]); // S(r) seen from node 2
+/// batch.run_totals(&[0, 2]);
+/// // S(r) from node 0 is [1, 1, 1, 1, 1], from node 2 [1, 2, 2].
+/// assert_eq!(batch.level_totals(), &[2, 3, 3, 1, 1]);
 /// ```
 pub struct BatchBfs<'g> {
     graph: &'g Graph,
@@ -394,18 +331,12 @@ pub struct BatchBfs<'g> {
     /// Pull mode: sorted not-yet-fully-seen nodes with degree > 0.
     active: Vec<NodeId>,
     /// Lane-major distances: `dist[lane * n + v]`. Only populated by
-    /// [`run`](Self::run); [`run_profiles`](Self::run_profiles) skips it.
+    /// [`run`](Self::run).
     dist: Vec<u32>,
-    /// Per-lane `S(r)`: `level_counts[lane][r]` nodes first reached at
-    /// hop `r` (index 0 is the source itself).
-    level_counts: Vec<Vec<u64>>,
     /// Lane-summed `S(r)` of a [`run_totals`](Self::run_totals) sweep.
     level_totals: Vec<u64>,
     /// Leaf-folded core view, built on the first totals sweep.
-    core: CoreState,
-    /// Directed-arc cap for the folded core's `u32` cursors (lowered only
-    /// by tests to exercise the fallback).
-    core_arc_cap: usize,
+    core: Option<CoreRep>,
     /// Totals sweeps: folded sources promoted to virtual slots.
     promoted: Vec<NodeId>,
     /// Totals sweeps: slot→slot pushes wiring the virtual slots in.
@@ -420,11 +351,10 @@ pub struct BatchBfs<'g> {
     direction: Direction,
     /// Levels of the last sweep that ran bottom-up.
     pull_levels_last: u32,
-    /// Whether the last sweep recorded the distance arrays.
+    /// Whether the last sweep was [`run`](Self::run) (distance arrays)
+    /// rather than [`run_totals`](Self::run_totals) (lane-summed
+    /// histogram).
     dist_recorded: bool,
-    /// Whether the last sweep recorded per-lane histograms (false after
-    /// [`run_totals`](Self::run_totals)).
-    profiles_recorded: bool,
     /// The sources of the last sweep, per lane (for parent derivation).
     sources_last: Vec<NodeId>,
 }
@@ -441,10 +371,8 @@ impl<'g> BatchBfs<'g> {
             spare: Vec::new(),
             active: Vec::new(),
             dist: Vec::new(),
-            level_counts: (0..MAX_LANES).map(|_| Vec::new()).collect(),
             level_totals: Vec::new(),
-            core: CoreState::Unbuilt,
-            core_arc_cap: u32::MAX as usize,
+            core: None,
             promoted: Vec::new(),
             pairs: Vec::new(),
             leaf_eff: Vec::new(),
@@ -454,7 +382,6 @@ impl<'g> BatchBfs<'g> {
             direction: direction_for_new_engine(),
             pull_levels_last: 0,
             dist_recorded: false,
-            profiles_recorded: false,
             sources_last: Vec::new(),
         }
     }
@@ -496,8 +423,10 @@ impl<'g> BatchBfs<'g> {
     }
 
     /// Run one level-synchronous sweep from `sources` (lane `i` is rooted
-    /// at `sources[i]`; duplicates are fine — lanes stay independent).
-    /// Accessors below read the result until the next call.
+    /// at `sources[i]`; duplicates are fine — lanes stay independent),
+    /// recording each lane's distance array for
+    /// [`distances`](Self::distances) and [`parent_tree`](Self::parent_tree)
+    /// until the next sweep.
     ///
     /// When observability is enabled, each sweep bumps `bfs.batch.sweeps`,
     /// `bfs.batch.sources` (lanes advanced) and `bfs.batch.levels`
@@ -511,36 +440,29 @@ impl<'g> BatchBfs<'g> {
     /// Panics if `sources` is empty, longer than [`MAX_LANES`] (or the
     /// forced width's lanes), or names a node out of range.
     pub fn run(&mut self, sources: &[NodeId]) {
-        self.sweep::<MODE_DIST>(sources);
+        // Monomorphise over both the mask width and the offset width, so
+        // the hot loops index offsets with no per-access branch.
+        let graph = self.graph;
+        match (self.checked_words(sources), graph.csr_offsets()) {
+            (1, OffsetsView::Narrow(o)) => self.sweep_w::<1, _>(sources, o),
+            (4, OffsetsView::Narrow(o)) => self.sweep_w::<4, _>(sources, o),
+            (8, OffsetsView::Narrow(o)) => self.sweep_w::<8, _>(sources, o),
+            (1, OffsetsView::Wide(o)) => self.sweep_w::<1, _>(sources, o),
+            (4, OffsetsView::Wide(o)) => self.sweep_w::<4, _>(sources, o),
+            (8, OffsetsView::Wide(o)) => self.sweep_w::<8, _>(sources, o),
+            _ => unreachable!("width validated by force_words"),
+        }
     }
 
-    /// Like [`run`](Self::run), but records only the per-lane `S(r)`
-    /// histograms and skips the distance arrays entirely. Every
-    /// histogram-level quantity — [`level_counts`](Self::level_counts),
-    /// [`reached`](Self::reached), [`total_distance`](Self::total_distance),
-    /// [`eccentricity`](Self::eccentricity) — is identical to what
-    /// [`run`](Self::run) produces; only [`distances`](Self::distances)
-    /// becomes unavailable. This is the hot path for the path-statistics
-    /// consumers, which need per-lane histograms but never per-node
-    /// distances: skipping them removes a lanes×nodes scatter-write pass,
-    /// and the per-level counts come from the bit-sliced `LaneCounter`
-    /// instead of per-discovery bit scans. Consumers that only need the
-    /// lane-*summed* histogram take [`run_totals`](Self::run_totals),
-    /// which is cheaper still.
-    ///
-    /// # Panics
-    /// Same contract as [`run`](Self::run).
-    pub fn run_profiles(&mut self, sources: &[NodeId]) {
-        self.sweep::<MODE_PROFILES>(sources);
-    }
-
-    /// Like [`run_profiles`](Self::run_profiles), but records only the
+    /// Sweep from `sources` like [`run`](Self::run), but record only the
     /// *lane-summed* discovery histogram [`level_totals`](Self::level_totals)
-    /// — entry `r` is `Σ_lane S_lane(r)` — and skips every per-lane
-    /// structure. A consumer that folds lanes into one running integer
-    /// sum ([`crate::reachability::AverageReachability`]) gets a
+    /// — entry `r` is `Σ_lane S_lane(r)` — and no per-lane structure.
+    /// Every consumer that folds lanes into running integer sums gets a
     /// bit-identical fold from this histogram, because u64 addition is
-    /// exact and associative.
+    /// exact and associative: the averaged `T(r)`
+    /// ([`crate::reachability::AverageReachability`]) and the path
+    /// statistics ([`crate::metrics::exact_path_stats`]: `Σ r·S(r)`,
+    /// `Σ S(r) − lanes` and the largest eccentricity, `len − 1`).
     ///
     /// Because no per-lane state survives, this sweep traverses a
     /// *leaf-folded* view of the graph (`CoreRep`): only nodes of
@@ -560,33 +482,6 @@ impl<'g> BatchBfs<'g> {
     /// # Panics
     /// Same contract as [`run`](Self::run).
     pub fn run_totals(&mut self, sources: &[NodeId]) {
-        if matches!(self.core, CoreState::Unbuilt) {
-            self.core = match CoreRep::try_build(self.graph, self.core_arc_cap) {
-                Some(core) => CoreState::Ready(core),
-                None => CoreState::TooLarge,
-            };
-        }
-        if matches!(self.core, CoreState::TooLarge) {
-            // The folded core's u32 cursors cannot index this graph
-            // (> 2^32 directed core arcs). Serve the lane-summed
-            // histogram by folding a per-lane profile sweep instead —
-            // bit-identical by the u64-addition argument in the method
-            // docs, just without the leaf-folding speedup.
-            self.sweep::<MODE_PROFILES>(sources);
-            let mut totals: Vec<u64> = Vec::new();
-            for lane in 0..self.lanes {
-                let counts = &self.level_counts[lane];
-                if counts.len() > totals.len() {
-                    totals.resize(counts.len(), 0);
-                }
-                for (r, &c) in counts.iter().enumerate() {
-                    totals[r] += c;
-                }
-            }
-            self.level_totals = totals;
-            self.profiles_recorded = false;
-            return;
-        }
         match self.checked_words(sources) {
             1 => self.totals_sweep_w::<1>(sources),
             4 => self.totals_sweep_w::<4>(sources),
@@ -609,26 +504,7 @@ impl<'g> BatchBfs<'g> {
         words
     }
 
-    fn sweep<const MODE: u8>(&mut self, sources: &[NodeId]) {
-        // Monomorphise over both the mask width and the offset width, so
-        // the hot loops index offsets with no per-access branch.
-        let graph = self.graph;
-        match (self.checked_words(sources), graph.csr_offsets()) {
-            (1, OffsetsView::Narrow(o)) => self.sweep_w::<1, MODE, _>(sources, o),
-            (4, OffsetsView::Narrow(o)) => self.sweep_w::<4, MODE, _>(sources, o),
-            (8, OffsetsView::Narrow(o)) => self.sweep_w::<8, MODE, _>(sources, o),
-            (1, OffsetsView::Wide(o)) => self.sweep_w::<1, MODE, _>(sources, o),
-            (4, OffsetsView::Wide(o)) => self.sweep_w::<4, MODE, _>(sources, o),
-            (8, OffsetsView::Wide(o)) => self.sweep_w::<8, MODE, _>(sources, o),
-            _ => unreachable!("width validated by force_words"),
-        }
-    }
-
-    fn sweep_w<const W: usize, const MODE: u8, O: OffsetSlice>(
-        &mut self,
-        sources: &[NodeId],
-        offsets: O,
-    ) {
+    fn sweep_w<const W: usize, O: OffsetSlice>(&mut self, sources: &[NodeId], offsets: O) {
         // Timed span only while a trace records: a sweep is the BFS
         // kernel's unit of work, and the span carries this sweep's
         // counter deltas. Costs one relaxed load when tracing is off.
@@ -637,8 +513,7 @@ impl<'g> BatchBfs<'g> {
         let lanes = sources.len();
         self.lanes = lanes;
         self.words = W;
-        self.dist_recorded = MODE == MODE_DIST;
-        self.profiles_recorded = true;
+        self.dist_recorded = true;
         self.sources_last.clear();
         self.sources_last.extend_from_slice(sources);
 
@@ -664,12 +539,7 @@ impl<'g> BatchBfs<'g> {
         self.next.clear();
         self.next.resize(n * W, 0);
         self.dist.clear();
-        if MODE == MODE_DIST {
-            self.dist.resize(lanes * n, UNREACHED);
-        }
-        for lc in &mut self.level_counts[..lanes] {
-            lc.clear();
-        }
+        self.dist.resize(lanes * n, UNREACHED);
         self.level_totals.clear();
 
         let graph = self.graph;
@@ -690,10 +560,7 @@ impl<'g> BatchBfs<'g> {
                 front.push(s);
             }
             frontier[si * W + wk] |= bit;
-            if MODE == MODE_DIST {
-                dist[lane * n + si] = 0;
-            }
-            self.level_counts[lane].push(1); // S(0) = 1: the source itself
+            dist[lane * n + si] = 0;
         }
 
         // Heuristic bookkeeping: `front_deg` is the frontier's edge count
@@ -715,8 +582,6 @@ impl<'g> BatchBfs<'g> {
         let mut active = std::mem::take(&mut self.active);
         active.clear();
         let mut active_built = false;
-        let mut per_lane = [0u64; MAX_LANES];
-        let mut counters = [LaneCounter::new(); W];
         let direction = self.direction;
         let mut pulling = false;
         let mut pull_levels: u32 = 0;
@@ -805,25 +670,7 @@ impl<'g> BatchBfs<'g> {
                     if became_full {
                         remaining_deg -= deg;
                     }
-                    for k in 0..W {
-                        let nw = new[k];
-                        if nw == 0 {
-                            continue;
-                        }
-                        if MODE == MODE_DIST {
-                            let base = k * LANES_PER_WORD;
-                            let mut bits = nw;
-                            while bits != 0 {
-                                let lane = base + bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                dist[lane * n + xi] = level;
-                                per_lane[lane] += 1;
-                            }
-                        } else {
-                            let base = k * LANES_PER_WORD;
-                            counters[k].add(nw, &mut per_lane[base..base + LANES_PER_WORD]);
-                        }
-                    }
+                    record_level::<W>(dist, n, xi, &new, level);
                 }
             } else {
                 // ---- bottom-up pull -----------------------------------
@@ -914,10 +761,12 @@ impl<'g> BatchBfs<'g> {
                     let xi = x as usize;
                     let xb = xi * W;
                     let mut became_full = true;
+                    let mut new = [0u64; W];
                     for k in 0..W {
                         let nw = next[xb + k];
                         next[xb + k] = 0;
                         frontier[xb + k] = nw;
+                        new[k] = nw;
                         let s2 = seen[xb + k] | nw;
                         seen[xb + k] = s2;
                         became_full &= s2 == full[k];
@@ -927,45 +776,10 @@ impl<'g> BatchBfs<'g> {
                     if became_full {
                         remaining_deg -= deg;
                     }
-                    for k in 0..W {
-                        let nw = frontier[xb + k];
-                        if nw == 0 {
-                            continue;
-                        }
-                        if MODE == MODE_DIST {
-                            let base = k * LANES_PER_WORD;
-                            let mut bits = nw;
-                            while bits != 0 {
-                                let lane = base + bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                dist[lane * n + xi] = level;
-                                per_lane[lane] += 1;
-                            }
-                        } else {
-                            let base = k * LANES_PER_WORD;
-                            counters[k].add(nw, &mut per_lane[base..base + LANES_PER_WORD]);
-                        }
-                    }
+                    record_level::<W>(dist, n, xi, &new, level);
                 }
                 // Compact: fully-seen nodes never discover again.
                 active.retain(|&v| seen[v as usize * W..v as usize * W + W] != full[..]);
-            }
-
-            // A lane's reached levels are contiguous: once its frontier
-            // empties it can never discover another node, so a non-zero
-            // count always lands at index `level` of its histogram.
-            if MODE == MODE_PROFILES {
-                for (k, c) in counters.iter_mut().enumerate() {
-                    let base = k * LANES_PER_WORD;
-                    c.flush(&mut per_lane[base..base + LANES_PER_WORD]);
-                }
-            }
-            for (lane, c) in per_lane[..lanes].iter_mut().enumerate() {
-                if *c > 0 {
-                    debug_assert_eq!(self.level_counts[lane].len(), level as usize);
-                    self.level_counts[lane].push(*c);
-                    *c = 0;
-                }
             }
             std::mem::swap(&mut front, &mut next_front);
         }
@@ -995,18 +809,17 @@ impl<'g> BatchBfs<'g> {
         self.lanes = lanes;
         self.words = W;
         self.dist_recorded = false;
-        self.profiles_recorded = false;
         self.sources_last.clear();
         self.sources_last.extend_from_slice(sources);
         self.level_totals.clear();
 
-        let core = match std::mem::replace(&mut self.core, CoreState::Unbuilt) {
-            CoreState::Ready(core) => core,
-            _ => unreachable!("folded core built by run_totals before dispatch"),
-        };
+        let core = self
+            .core
+            .take()
+            .unwrap_or_else(|| CoreRep::build(self.graph));
         let ncore = core.leaf_count.len();
         // Graph offsets only wire the few promoted sources (cold path);
-        // the hot level loop runs on the core's own u32 CSR.
+        // the hot level loop runs on the core's own CSR.
         let offsets = self.graph.csr_offsets();
         let neigh = self.graph.csr_neighbors();
 
@@ -1116,9 +929,7 @@ impl<'g> BatchBfs<'g> {
                 // them — count them without touching them.
                 level_total += u64::from(leaf_eff[vi]) * pop;
                 if vi < ncore {
-                    let lo = core.core_off[vi] as usize;
-                    let hi = core.core_off[vi + 1] as usize;
-                    for &x in &core.core_neigh[lo..hi] {
+                    for &x in &core.core_neigh[core.core_off[vi]..core.core_off[vi + 1]] {
                         let xb = x as usize * W;
                         for k in 0..W {
                             next[xb + k] |= fw[k];
@@ -1169,7 +980,7 @@ impl<'g> BatchBfs<'g> {
         self.spare = next_front;
         self.promoted = promoted;
         self.pairs = pairs;
-        self.core = CoreState::Ready(core);
+        self.core = Some(core);
         self.pull_levels_last = 0;
         if mcast_obs::enabled() {
             mcast_obs::counter("bfs.batch.sweeps").add(1);
@@ -1178,7 +989,7 @@ impl<'g> BatchBfs<'g> {
         }
     }
 
-    /// Lanes advanced by the last [`run`](Self::run).
+    /// Lanes advanced by the last sweep.
     pub fn lanes(&self) -> usize {
         self.lanes
     }
@@ -1199,67 +1010,27 @@ impl<'g> BatchBfs<'g> {
         assert!(lane < self.lanes, "lane {lane} out of range");
         assert!(
             self.dist_recorded,
-            "distances not recorded by the last sweep (use run, not \
-             run_profiles/run_totals)"
+            "distances not recorded by the last sweep (use run, not run_totals)"
         );
         let n = self.graph.node_count();
         &self.dist[lane * n..(lane + 1) * n]
     }
 
-    /// `lane`'s `S(r)` histogram: entry `r` counts nodes first reached at
-    /// hop `r` (entry 0 is the source). The same vector
-    /// [`crate::reachability::Reachability::from_distances`] builds from
-    /// the scalar BFS.
-    ///
-    /// # Panics
-    /// Panics if `lane` is out of range, or if the last sweep was
-    /// [`run_totals`](Self::run_totals) (no per-lane histograms recorded).
-    pub fn level_counts(&self, lane: usize) -> &[u64] {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        assert!(
-            self.profiles_recorded,
-            "per-lane histograms not recorded by the last sweep (use run or \
-             run_profiles, not run_totals)"
-        );
-        &self.level_counts[lane]
-    }
-
     /// Lane-summed discovery histogram of the last
     /// [`run_totals`](Self::run_totals) sweep: entry `r` is
-    /// `Σ_lane S_lane(r)` — exactly the sum of what
-    /// [`level_counts`](Self::level_counts) would report per lane, with
-    /// each lane's histogram read as zero past its own eccentricity. The
-    /// length is the largest lane eccentricity plus one.
+    /// `Σ_lane S_lane(r)` — exactly the sum of the lanes' scalar
+    /// [`crate::reachability::Reachability`] profiles, each read as zero
+    /// past its own eccentricity. The length is the largest lane
+    /// eccentricity plus one.
     ///
     /// # Panics
     /// Panics if the last sweep was not `run_totals`.
     pub fn level_totals(&self) -> &[u64] {
         assert!(
-            !self.profiles_recorded && !self.sources_last.is_empty(),
+            !self.dist_recorded && !self.sources_last.is_empty(),
             "lane-summed histogram only recorded by run_totals"
         );
         &self.level_totals
-    }
-
-    /// Nodes `lane`'s source reached, including itself.
-    pub fn reached(&self, lane: usize) -> u64 {
-        self.level_counts(lane).iter().sum()
-    }
-
-    /// Sum of finite distances from `lane`'s source (`Σ r·S(r)`) — the
-    /// numerator of the average unicast path length, as an exact integer.
-    pub fn total_distance(&self, lane: usize) -> u64 {
-        self.level_counts(lane)
-            .iter()
-            .enumerate()
-            .map(|(r, &s)| r as u64 * s)
-            .sum()
-    }
-
-    /// `lane`'s source eccentricity within its component (largest hop
-    /// count with `S(r) > 0`; zero for an isolated source).
-    pub fn eccentricity(&self, lane: usize) -> usize {
-        self.level_counts(lane).len() - 1
     }
 
     /// Derive `lane`'s shortest-path parent array into `out` — the batch
@@ -1275,7 +1046,7 @@ impl<'g> BatchBfs<'g> {
     ///
     /// # Panics
     /// Panics if `lane` is out of range or the last sweep was
-    /// [`run_profiles`](Self::run_profiles) (no distances recorded).
+    /// [`run_totals`](Self::run_totals) (no distances recorded).
     pub fn parent_tree(&self, lane: usize, out: &mut Vec<NodeId>) {
         let source = self.sources_last[lane];
         crate::bfs::min_index_parents(self.graph, self.distances(lane), source, out);
@@ -1287,12 +1058,31 @@ mod tests {
     use super::*;
     use crate::bfs::Bfs;
     use crate::graph::from_edges;
+    use crate::reachability::Reachability;
 
     fn path_graph(n: usize) -> Graph {
         let edges: Vec<_> = (0..n - 1).map(|i| (i as NodeId, i as NodeId + 1)).collect();
         from_edges(n, &edges)
     }
 
+    /// Lane sum of the scalar `S(r)` profiles of `sources`: the
+    /// independent oracle for [`BatchBfs::level_totals`].
+    fn scalar_profile_sum(g: &Graph, sources: &[NodeId]) -> Vec<u64> {
+        let mut sum: Vec<u64> = Vec::new();
+        for &s in sources {
+            let profile = Reachability::from_source(g, s);
+            if profile.s_vec().len() > sum.len() {
+                sum.resize(profile.s_vec().len(), 0);
+            }
+            for (r, &c) in profile.s_vec().iter().enumerate() {
+                sum[r] += c;
+            }
+        }
+        sum
+    }
+
+    /// `run` against the scalar BFS lane by lane, and `run_totals` against
+    /// the scalar profile sum, at every mask width the batch fits in.
     fn assert_matches_scalar(g: &Graph, sources: &[NodeId]) {
         let mut batch = BatchBfs::new(g);
         batch.run(sources);
@@ -1304,13 +1094,15 @@ mod tests {
                 scalar.scratch_distances(),
                 "lane {lane} source {s}"
             );
-            let profile = crate::reachability::Reachability::from_distances(
-                scalar.scratch_distances(),
-                scalar.scratch_order(),
-            );
-            assert_eq!(batch.level_counts(lane), profile.s_vec());
-            assert_eq!(batch.reached(lane), profile.total());
-            assert_eq!(batch.eccentricity(lane), profile.eccentricity());
+        }
+        let expect = scalar_profile_sum(g, sources);
+        for w in [1usize, 4, 8] {
+            if sources.len() > w * LANES_PER_WORD {
+                continue;
+            }
+            batch.force_words(Some(w));
+            batch.run_totals(sources);
+            assert_eq!(batch.level_totals(), &expect[..], "W={w}");
         }
     }
 
@@ -1325,7 +1117,8 @@ mod tests {
 
     #[test]
     fn matches_scalar_on_disconnected_graph() {
-        // Two components plus two isolated nodes.
+        // Two components plus two isolated nodes; sources include the
+        // leaves 0, 2, 4, 5 and the isolated 3, 6, 7.
         let g = from_edges(8, &[(0, 1), (1, 2), (4, 5)]);
         let sources: Vec<NodeId> = (0..8).collect();
         assert_matches_scalar(&g, &sources);
@@ -1337,8 +1130,10 @@ mod tests {
         let mut batch = BatchBfs::new(&g);
         batch.run(&[2, 2, 5]);
         assert_eq!(batch.distances(0), batch.distances(1));
-        assert_eq!(batch.level_counts(0), batch.level_counts(1));
-        assert_eq!(batch.level_counts(2), &[1, 1, 1, 1, 1, 1]);
+        assert_eq!(batch.distances(2), &[5, 4, 3, 2, 1, 0]);
+        // S(r) from 2 is [1, 2, 2, 1], from 5 [1, 1, 1, 1, 1, 1].
+        batch.run_totals(&[2, 2, 5]);
+        assert_eq!(batch.level_totals(), &[3, 5, 5, 3, 1, 1]);
     }
 
     #[test]
@@ -1352,9 +1147,11 @@ mod tests {
         batch.run(&sources);
         batch.run(&[9]);
         assert_eq!(batch.lanes(), 1);
-        assert_eq!(batch.level_counts(0), &[1]); // node 9 is isolated
         assert_eq!(batch.distances(0)[9], 0);
         assert_eq!(batch.distances(0)[0], UNREACHED);
+        batch.run_totals(&sources);
+        batch.run_totals(&[9]);
+        assert_eq!(batch.level_totals(), &[1]); // node 9 is isolated
     }
 
     #[test]
@@ -1392,9 +1189,9 @@ mod tests {
             let mut forced = BatchBfs::new(&g);
             forced.force_words(Some(w));
             forced.run(&sources);
+            assert_eq!(forced.words(), w);
             for lane in 0..sources.len() {
                 assert_eq!(forced.distances(lane), auto.distances(lane), "W={w}");
-                assert_eq!(forced.level_counts(lane), auto.level_counts(lane));
             }
         }
     }
@@ -1429,57 +1226,43 @@ mod tests {
         for lane in 0..sources.len() {
             assert_eq!(pull.distances(lane), auto.distances(lane), "lane {lane}");
             assert_eq!(push.distances(lane), auto.distances(lane), "lane {lane}");
-            assert_eq!(pull.level_counts(lane), auto.level_counts(lane));
-            assert_eq!(push.level_counts(lane), auto.level_counts(lane));
         }
     }
 
     #[test]
     fn total_distance_matches_sp_tree() {
+        // The path statistics read Σ r·tot[r] and tot.len() − 1 off the
+        // lane-summed histogram: they must be the sources' summed
+        // shortest-path-tree distances and their largest eccentricity.
         let g = from_edges(7, &[(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6)]);
         let mut batch = BatchBfs::new(&g);
-        batch.run(&[0, 3]);
+        batch.run_totals(&[0, 3]);
+        let tot = batch.level_totals();
+        let total: u64 = tot.iter().enumerate().map(|(r, &c)| r as u64 * c).sum();
         let mut bfs = Bfs::new(&g);
-        for (lane, s) in [(0usize, 0u32), (1, 3)] {
-            let t = bfs.run(s);
-            assert_eq!(batch.total_distance(lane), t.total_distance());
-            assert_eq!(batch.eccentricity(lane), t.eccentricity() as usize);
-        }
+        let (t0, t3) = (bfs.run(0), bfs.run(3));
+        assert_eq!(total, t0.total_distance() + t3.total_distance());
+        let ecc = t0.eccentricity().max(t3.eccentricity());
+        assert_eq!(tot.len() - 1, ecc as usize);
     }
 
     #[test]
-    fn run_profiles_matches_run_histograms() {
+    fn run_and_run_totals_share_one_engine() {
+        // Alternating the two sweeps on one engine: neither may leave
+        // state the other reads.
         let g = from_edges(8, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
         let sources: Vec<NodeId> = (0..8).collect();
-        let mut full = BatchBfs::new(&g);
-        full.run(&sources);
-        let mut profiles = BatchBfs::new(&g);
-        profiles.run_profiles(&sources);
+        let mut fresh = BatchBfs::new(&g);
+        fresh.run(&sources);
+        let mut shared = BatchBfs::new(&g);
+        shared.run_totals(&sources);
+        assert_eq!(shared.level_totals(), scalar_profile_sum(&g, &sources));
+        shared.run(&sources);
         for lane in 0..sources.len() {
-            assert_eq!(profiles.level_counts(lane), full.level_counts(lane));
-            assert_eq!(profiles.reached(lane), full.reached(lane));
-            assert_eq!(profiles.total_distance(lane), full.total_distance(lane));
-            assert_eq!(profiles.eccentricity(lane), full.eccentricity(lane));
+            assert_eq!(shared.distances(lane), fresh.distances(lane));
         }
-        // A full sweep on the same engine restores the distance arrays.
-        profiles.run(&[0]);
-        assert_eq!(profiles.distances(0), full.distances(0));
-    }
-
-    /// Expected `level_totals` by folding the per-lane histograms of a
-    /// profile sweep (lanes past their own eccentricity contribute 0).
-    fn fold_profiles(batch: &BatchBfs<'_>) -> Vec<u64> {
-        let mut expect: Vec<u64> = Vec::new();
-        for lane in 0..batch.lanes() {
-            let counts = batch.level_counts(lane);
-            if counts.len() > expect.len() {
-                expect.resize(counts.len(), 0);
-            }
-            for (r, &c) in counts.iter().enumerate() {
-                expect[r] += c;
-            }
-        }
-        expect
+        shared.run_totals(&sources[..3]);
+        assert_eq!(shared.level_totals(), scalar_profile_sum(&g, &sources[..3]));
     }
 
     #[test]
@@ -1491,6 +1274,7 @@ mod tests {
         // pair end (6), the isolated node (8), a core node (4), and a
         // duplicate of the folded leaf (1 again, sharing its slot).
         let g = from_edges(9, &[(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (6, 7)]);
+        let mut scalar = Bfs::new(&g);
         for sources in [
             &[1, 6, 8, 4, 1][..],
             &[0][..],       // all-core source
@@ -1498,18 +1282,17 @@ mod tests {
             &[6, 7][..],    // both ends of a fully folded component
             &[5, 2, 1][..], // folded leaves of different parents
         ] {
-            let mut profiles = BatchBfs::new(&g);
-            profiles.run_profiles(sources);
-            let expect = fold_profiles(&profiles);
+            let expect = scalar_profile_sum(&g, sources);
             let mut totals = BatchBfs::new(&g);
             totals.run_totals(sources);
             assert_eq!(totals.level_totals(), &expect[..], "sources {sources:?}");
             assert_eq!(totals.pull_levels(), 0);
             // Interleaved reuse: folded and unfolded sweeps share scratch
             // buffers; neither representation may corrupt the other.
-            totals.run_profiles(sources);
-            for lane in 0..sources.len() {
-                assert_eq!(totals.level_counts(lane), profiles.level_counts(lane));
+            totals.run(sources);
+            for (lane, &s) in sources.iter().enumerate() {
+                scalar.run_scratch(s);
+                assert_eq!(totals.distances(lane), scalar.scratch_distances());
             }
             totals.run_totals(sources);
             assert_eq!(totals.level_totals(), &expect[..], "sources {sources:?}");
@@ -1533,75 +1316,12 @@ mod tests {
     }
 
     #[test]
-    fn run_totals_falls_back_when_core_cursors_would_overflow() {
-        // Inject a tiny core-arc cap: the engine must decline the leaf
-        // fold (whose `core_off` cursors are u32) and serve bit-identical
-        // lane-summed histograms from a profile sweep instead. The real
-        // boundary (2^32 directed core arcs, > 17 GiB of adjacency) is
-        // unreachable in a test; the cap path is the same code.
-        let g = from_edges(9, &[(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (6, 7)]);
-        let sources = &[1, 6, 8, 4, 1][..];
-        let mut reference = BatchBfs::new(&g);
-        reference.run_totals(sources);
-        let expect = reference.level_totals().to_vec();
-        let mut capped = BatchBfs::new(&g);
-        capped.core_arc_cap = 1;
-        capped.run_totals(sources);
-        assert!(matches!(capped.core, CoreState::TooLarge));
-        assert_eq!(capped.level_totals(), &expect[..]);
-        // The accessor contract survives the fallback: totals sweeps
-        // still refuse per-lane reads, and later sweeps still work.
-        capped.run_profiles(sources);
-        let mut folded = BatchBfs::new(&g);
-        folded.run_profiles(sources);
-        for lane in 0..sources.len() {
-            assert_eq!(capped.level_counts(lane), folded.level_counts(lane));
-        }
-        capped.run_totals(sources);
-        assert_eq!(capped.level_totals(), &expect[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "per-lane histograms not recorded")]
-    fn level_counts_unavailable_after_fallback_totals_sweep() {
-        let g = path_graph(4);
-        let mut batch = BatchBfs::new(&g);
-        batch.core_arc_cap = 0;
-        batch.run_totals(&[0]);
-        let _ = batch.level_counts(0);
-    }
-
-    #[test]
     #[should_panic(expected = "lane-summed histogram")]
-    fn level_totals_unavailable_after_profile_sweep() {
+    fn level_totals_unavailable_after_run() {
         let g = path_graph(4);
         let mut batch = BatchBfs::new(&g);
-        batch.run_profiles(&[0]);
+        batch.run(&[0]);
         let _ = batch.level_totals();
-    }
-
-    #[test]
-    #[should_panic(expected = "per-lane histograms not recorded")]
-    fn level_counts_unavailable_after_totals_sweep() {
-        let g = path_graph(4);
-        let mut batch = BatchBfs::new(&g);
-        batch.run_totals(&[0]);
-        let _ = batch.level_counts(0);
-    }
-
-    #[test]
-    fn lane_counter_counts_past_flush_threshold() {
-        // 300 adds of the same two lanes forces a mid-level flush (the
-        // 8-bit planes saturate at 255 pending words).
-        let mut c = LaneCounter::new();
-        let mut out = [0u64; LANES_PER_WORD];
-        for _ in 0..300 {
-            c.add(0b101, &mut out);
-        }
-        c.flush(&mut out);
-        assert_eq!(out[0], 300);
-        assert_eq!(out[1], 0);
-        assert_eq!(out[2], 300);
     }
 
     #[test]
@@ -1634,19 +1354,20 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "distances not recorded")]
-    fn parent_tree_unavailable_after_profile_sweep() {
+    fn parent_tree_unavailable_after_totals_sweep() {
         let g = path_graph(4);
         let mut batch = BatchBfs::new(&g);
-        batch.run_profiles(&[0]);
+        batch.run_totals(&[0]);
         batch.parent_tree(0, &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "distances not recorded")]
-    fn distances_unavailable_after_profile_sweep() {
+    fn distances_unavailable_after_totals_sweep() {
         let g = path_graph(4);
         let mut batch = BatchBfs::new(&g);
-        batch.run_profiles(&[0]);
+        batch.run(&[0]);
+        batch.run_totals(&[0]);
         batch.distances(0);
     }
 

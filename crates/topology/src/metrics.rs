@@ -42,8 +42,11 @@ pub fn degree_stats(graph: &Graph) -> Option<DegreeStats> {
 
 /// Shared core of the path-length statistics: batched BFS sweeps from
 /// `sources`, summing distances to every *other* reachable node as exact
-/// integers. `Σ r·S(r)` and `T(ecc) − 1` per lane are exactly the totals
-/// the old per-node scalar loop accumulated, so results are bit-identical.
+/// integers. From one chunk's lane-summed histogram `tot`
+/// ([`BatchBfs::run_totals`]), `Σ_{r≥1} r·tot[r]` is the chunk's distance
+/// sum, `Σ_{r≥1} tot[r]` its reachable-pair count and `tot.len() − 1` its
+/// largest eccentricity — the same integers the per-source scalar loop
+/// accumulates, so results are bit-identical.
 fn path_stats_over(graph: &Graph, sources: &[NodeId]) -> (f64, u32) {
     let mut total = 0u128;
     let mut pairs = 0u128;
@@ -51,12 +54,13 @@ fn path_stats_over(graph: &Graph, sources: &[NodeId]) -> (f64, u32) {
     if !sources.is_empty() {
         let mut batch = BatchBfs::new(graph);
         for chunk in sources.chunks(max_lanes()) {
-            batch.run_profiles(chunk);
-            for lane in 0..batch.lanes() {
-                total += u128::from(batch.total_distance(lane));
-                pairs += u128::from(batch.reached(lane) - 1);
-                max_seen = max_seen.max(batch.eccentricity(lane) as u32);
+            batch.run_totals(chunk);
+            let tot = batch.level_totals();
+            for (r, &c) in tot.iter().enumerate().skip(1) {
+                total += r as u128 * u128::from(c);
+                pairs += u128::from(c);
             }
+            max_seen = max_seen.max(tot.len() as u32 - 1);
         }
     }
     if pairs == 0 {

@@ -53,17 +53,6 @@ impl Reachability {
         Self::from_distances(bfs.scratch_distances(), bfs.scratch_order())
     }
 
-    /// Build from a per-level newly-reached histogram (`s[r]` = sites first
-    /// reached at hop `r`, with `s[0] = 1` for the source itself), as
-    /// produced by [`crate::batch::BatchBfs::level_counts`].
-    ///
-    /// # Panics
-    /// Panics if `s` is empty (every profile includes `S(0)`).
-    pub fn from_level_counts(s: Vec<u64>) -> Self {
-        assert!(!s.is_empty(), "level counts must include S(0)");
-        Self { s }
-    }
-
     /// Build from precomputed BFS scratch state (distances + reached order).
     pub fn from_distances(dist: &[u32], order: &[NodeId]) -> Self {
         let ecc = order.iter().map(|&v| dist[v as usize]).max().unwrap_or(0);
@@ -325,14 +314,6 @@ mod tests {
         assert_eq!(mixed.max_radius(), 2);
         assert!((mixed.t(0) - 1.0).abs() < 1e-12);
         assert!((mixed.t(9) - 2.0).abs() < 1e-12); // (3 + 1) / 2
-    }
-
-    #[test]
-    fn from_level_counts_matches_from_distances() {
-        let g = from_edges(6, &[(0, 1), (0, 2), (1, 3), (2, 4)]);
-        let direct = Reachability::from_source(&g, 0);
-        let rebuilt = Reachability::from_level_counts(direct.s_vec().to_vec());
-        assert_eq!(direct, rebuilt);
     }
 
     #[test]

@@ -55,30 +55,42 @@ fn random_sources(n: usize, count: usize, seed: u64) -> Vec<NodeId> {
         .collect()
 }
 
-/// One lane of the batch against a scalar BFS from the same source:
-/// distances, level counts, reached total, eccentricity, and the
-/// shortest-path-tree distance sum must all agree exactly.
+/// One lane of a `run` sweep against a scalar BFS from the same source:
+/// distances, reached count and the shortest-path-tree distance sum must
+/// all agree exactly.
 fn assert_lane_matches_scalar(
-    g: &Graph,
     batch: &BatchBfs<'_>,
     scalar: &mut Bfs<'_>,
     lane: usize,
     source: NodeId,
 ) -> Result<(), TestCaseError> {
     let t = scalar.run(source);
-    prop_assert_eq!(batch.distances(lane), scalar.scratch_distances());
-    let profile = Reachability::from_source(g, source);
-    prop_assert_eq!(batch.level_counts(lane), profile.s_vec());
-    prop_assert_eq!(batch.reached(lane) as usize, t.reached_count());
-    prop_assert_eq!(batch.eccentricity(lane), profile.eccentricity());
-    let total: u64 = batch
-        .distances(lane)
+    let dist = batch.distances(lane);
+    prop_assert_eq!(dist, scalar.scratch_distances());
+    let reached: Vec<u64> = dist
         .iter()
         .filter(|&&d| d != UNREACHED)
         .map(|&d| u64::from(d))
-        .sum();
-    prop_assert_eq!(batch.total_distance(lane), total);
+        .collect();
+    prop_assert_eq!(reached.len(), t.reached_count());
+    prop_assert_eq!(reached.iter().sum::<u64>(), t.total_distance());
     Ok(())
+}
+
+/// Lane sum of the scalar `S(r)` profiles of `sources`: the independent
+/// oracle for `run_totals`' `level_totals()`.
+fn scalar_profile_sum(g: &Graph, sources: &[NodeId]) -> Vec<u64> {
+    let mut sum: Vec<u64> = Vec::new();
+    for &s in sources {
+        let profile = Reachability::from_source(g, s);
+        if profile.s_vec().len() > sum.len() {
+            sum.resize(profile.s_vec().len(), 0);
+        }
+        for (r, &c) in profile.s_vec().iter().enumerate() {
+            sum[r] += c;
+        }
+    }
+    sum
 }
 
 proptest! {
@@ -88,6 +100,8 @@ proptest! {
     // widths that exercise its mask boundaries: 1 (single lane), 63 (one
     // bit shy of a full word), 64 (exactly one word), 65 (spills into the
     // second mask word), 256 (full 4-word sweep), 512 (full 8-word sweep).
+    // `run` is held lane by lane to the scalar distances, `run_totals` to
+    // the lane sum of the scalar profiles.
     #[test]
     fn batched_bfs_is_bit_identical_to_scalar(
         n in 2usize..40,
@@ -103,8 +117,11 @@ proptest! {
                 batch.run(chunk);
                 prop_assert_eq!(batch.lanes(), chunk.len());
                 for (lane, &s) in chunk.iter().enumerate() {
-                    assert_lane_matches_scalar(&g, &batch, &mut scalar, lane, s)?;
+                    assert_lane_matches_scalar(&batch, &mut scalar, lane, s)?;
                 }
+                batch.run_totals(chunk);
+                prop_assert_eq!(batch.lanes(), chunk.len());
+                prop_assert_eq!(batch.level_totals(), scalar_profile_sum(&g, chunk));
             }
         }
     }
@@ -189,9 +206,8 @@ proptest! {
     }
 
     // Direction independence: the kernel is level-synchronous, so a
-    // level's discovery set — and therefore every distance and S(r)
-    // histogram — cannot depend on whether it was computed top-down or
-    // bottom-up. Sweep the same batch under the default heuristic,
+    // level's discovery set — and therefore every distance — cannot
+    // depend on whether it was computed top-down or bottom-up. Sweep the same batch under the default heuristic,
     // forced push, forced pull, and random α/β switch points (α=0 never
     // pulls, large α with β=0 bounces back immediately) and demand bit
     // identity throughout.
@@ -224,23 +240,14 @@ proptest! {
                 prop_assert_eq!(
                     other.distances(lane), reference.distances(lane),
                     "{:?} lane {}", policy, lane);
-                prop_assert_eq!(
-                    other.level_counts(lane), reference.level_counts(lane),
-                    "{:?} lane {}", policy, lane);
-            }
-            // The profiles path counts discoveries through the bit-sliced
-            // counter rather than distance-array scans; histograms must
-            // not care.
-            other.run_profiles(&sources);
-            for lane in 0..sources.len() {
-                prop_assert_eq!(other.level_counts(lane), reference.level_counts(lane));
             }
         }
     }
 
     // Width genericity: forcing the mask width to any of the supported
     // word counts (sources permitting) changes only the sweep shape,
-    // never the results.
+    // never the results — distances against the auto-width sweep, lane
+    // totals against the scalar profiles.
     #[test]
     fn forced_widths_are_bit_identical(
         n in 2usize..40,
@@ -253,6 +260,7 @@ proptest! {
         let mut reference = BatchBfs::new(&g);
         reference.run(&sources);
         prop_assert_eq!(reference.words(), 1);
+        let expect = scalar_profile_sum(&g, &sources);
         for w in [1usize, 4, 8] {
             let mut forced = BatchBfs::new(&g);
             forced.force_words(Some(w));
@@ -261,9 +269,10 @@ proptest! {
             for lane in 0..sources.len() {
                 prop_assert_eq!(
                     forced.distances(lane), reference.distances(lane), "W={} lane {}", w, lane);
-                prop_assert_eq!(forced.level_counts(lane), reference.level_counts(lane));
-                prop_assert_eq!(forced.total_distance(lane), reference.total_distance(lane));
             }
+            forced.run_totals(&sources);
+            prop_assert_eq!(forced.words(), w);
+            prop_assert_eq!(forced.level_totals(), &expect[..], "W={}", w);
         }
     }
 
@@ -272,7 +281,8 @@ proptest! {
     // isolated (or in tiny shards) and most distances stay UNREACHED.
     // Batch and scalar must agree on exactly which nodes are unreachable
     // — same u32::MAX sentinel, no width-dependent misreads — at every
-    // mask boundary width.
+    // mask boundary width, and the totals sweep must count exactly the
+    // reachable nodes.
     #[test]
     fn disconnected_sentinels_agree_with_scalar(
         n in 4usize..40,
@@ -286,6 +296,7 @@ proptest! {
         for width in [1usize, 63, 64, 65, 256, 512] {
             let sources = random_sources(n, width, seed ^ (width as u64) << 8);
             batch.run(&sources);
+            let mut reached = 0usize;
             for (lane, &s) in sources.iter().enumerate() {
                 scalar.run_scratch(s);
                 let sd = scalar.scratch_distances();
@@ -293,15 +304,20 @@ proptest! {
                 let unreached =
                     batch.distances(lane).iter().filter(|&&d| d == UNREACHED).count();
                 prop_assert_eq!(
-                    unreached, n - batch.reached(lane) as usize,
+                    unreached, n - scalar.scratch_order().len(),
                     "width {} lane {}", width, lane);
+                reached += n - unreached;
             }
+            batch.run_totals(&sources);
+            prop_assert_eq!(batch.level_totals().iter().sum::<u64>() as usize, reached);
+            prop_assert_eq!(
+                batch.level_totals(), scalar_profile_sum(&g, &sources), "width {}", width);
         }
     }
 
-    // The leaf-folded totals sweep must reproduce the per-lane profile
-    // fold exactly: `level_totals()[r] == Σ_lane S_lane(r)` (lanes past
-    // their own eccentricity contribute zero). Sparse random graphs are
+    // The leaf-folded totals sweep must reproduce the per-lane fold of the
+    // scalar profiles exactly: `level_totals()[r] == Σ_lane S_lane(r)`
+    // (lanes past their own eccentricity contribute zero). Sparse random graphs are
     // rich in the shapes the fold has to get right — leaf sources,
     // leaf–leaf two-node components, isolated sources, duplicate
     // sources sharing a promoted slot — and the width loop crosses every
@@ -320,19 +336,10 @@ proptest! {
             if sources.len() >= 2 {
                 sources[0] = sources[1];
             }
-            batch.run_profiles(&sources);
-            let mut expect: Vec<u64> = Vec::new();
-            for lane in 0..sources.len() {
-                let counts = batch.level_counts(lane);
-                if counts.len() > expect.len() {
-                    expect.resize(counts.len(), 0);
-                }
-                for (r, &c) in counts.iter().enumerate() {
-                    expect[r] += c;
-                }
-            }
+            let expect = scalar_profile_sum(&g, &sources);
             // Reusing the same engine crosses the folded and unfolded
             // representations; neither may leak into the other.
+            batch.run(&sources);
             batch.run_totals(&sources);
             prop_assert_eq!(batch.level_totals(), &expect[..], "width {}", width);
         }
@@ -356,16 +363,12 @@ proptest! {
             fresh.run(&sources);
             for (lane, &s) in sources.iter().enumerate() {
                 prop_assert_eq!(reused.distances(lane), fresh.distances(lane));
-                prop_assert_eq!(reused.level_counts(lane), fresh.level_counts(lane));
-                assert_lane_matches_scalar(&g, &reused, &mut scalar, lane, s)?;
+                assert_lane_matches_scalar(&reused, &mut scalar, lane, s)?;
             }
-            // Interleave a profiles-only sweep: histograms must match the
-            // full sweep, and the next round's `run` must be unaffected.
-            reused.run_profiles(&sources);
-            for lane in 0..sources.len() {
-                prop_assert_eq!(reused.level_counts(lane), fresh.level_counts(lane));
-                prop_assert_eq!(reused.total_distance(lane), fresh.total_distance(lane));
-            }
+            // Interleave a totals sweep: it must match the scalar
+            // profiles, and the next round's `run` must be unaffected.
+            reused.run_totals(&sources);
+            prop_assert_eq!(reused.level_totals(), scalar_profile_sum(&g, &sources));
         }
     }
 }

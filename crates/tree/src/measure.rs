@@ -16,7 +16,9 @@
 //! draws hit only ~44 distinct sources); [`SourcePlan`] groups the draws
 //! by node and [`MeasureEngine`] runs one BFS per *distinct* node while
 //! every source index keeps its own RNG stream, so the merged statistics
-//! are bit-identical to the naive one-BFS-per-index schedule. The curve
+//! are bit-identical to the naive one-BFS-per-index schedule. That BFS is
+//! the source's only traversal: the delivery sizer keeps its FIFO parents
+//! and distances, and `ū` is scanned from those distances. The curve
 //! drivers here are single-threaded — the experiment crate parallelises by
 //! sharding [`SourcePlan`] groups across worker-owned engines and merging
 //! [`RunningStats`] in source-index order.
@@ -24,7 +26,6 @@
 use crate::delivery::DeliverySizer;
 use crate::sampling::{self, DedupMarks, ReceiverPool};
 use crate::stats::RunningStats;
-use mcast_topology::batch::{max_lanes, BatchBfs};
 use mcast_topology::bfs::Bfs;
 use mcast_topology::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -93,27 +94,18 @@ pub struct SourceMeasurer {
 impl SourceMeasurer {
     /// Measurer whose receivers range over every node except `source`
     /// (the paper's general-network model).
-    ///
-    /// `mean_dist` is `ū` when the caller already has it; `None` scans it
-    /// from the sizer's distance array. A supplied value must equal the
-    /// scan's result bit-for-bit — [`batched_mean_distances`] guarantees
-    /// exactly that.
-    pub fn new(graph: &Graph, source: NodeId, mean_dist: Option<f64>) -> Self {
+    pub fn new(graph: &Graph, source: NodeId) -> Self {
         let pool = ReceiverPool::AllExceptSource {
             nodes: graph.node_count(),
             source,
         };
-        Self::build(graph, source, pool, mean_dist)
+        Self::with_pool(graph, source, pool)
     }
 
     /// Measurer with an explicit receiver pool (e.g. k-ary tree leaves).
     pub fn with_pool(graph: &Graph, source: NodeId, pool: ReceiverPool) -> Self {
-        Self::build(graph, source, pool, None)
-    }
-
-    fn build(graph: &Graph, source: NodeId, pool: ReceiverPool, mean_dist: Option<f64>) -> Self {
         let sizer = DeliverySizer::from_graph(graph, source);
-        let mean_dist = mean_dist.unwrap_or_else(|| mean_pool_distance(&sizer, &pool));
+        let mean_dist = mean_pool_distance(&sizer, &pool);
         Self {
             sizer,
             pool,
@@ -128,24 +120,21 @@ impl SourceMeasurer {
     /// Re-target this measurer at a new source without allocating: the
     /// sizer's parent/dist/mark buffers are refilled in place through
     /// `bfs` ([`DeliverySizer::rebind`]), the receiver pool follows the
-    /// source, `ū` is taken from `mean_dist` or, when `None`, recomputed
-    /// (see [`Self::new`]), and the receiver/dedup scratch buffers carry
-    /// over. Sample/source tallies keep accumulating and flush once on
-    /// drop.
+    /// source, `ū` is rescanned from the refilled distances, and the
+    /// receiver/dedup scratch buffers carry over. Sample/source tallies
+    /// keep accumulating and flush once on drop.
     ///
     /// An [`ReceiverPool::AllExceptSource`] pool tracks the new source;
-    /// explicit/range pools (fixed site sets) are kept as-is. A supplied
-    /// `mean_dist` is only meaningful for the all-except-source pool,
-    /// whose `ū` follows the source.
+    /// explicit/range pools (fixed site sets) are kept as-is.
     ///
     /// # Panics
     /// Panics if `bfs` belongs to a graph of a different node count.
-    pub fn reuse(&mut self, bfs: &mut Bfs<'_>, source: NodeId, mean_dist: Option<f64>) {
+    pub fn reuse(&mut self, bfs: &mut Bfs<'_>, source: NodeId) {
         self.sizer.rebind(bfs, source);
         if let ReceiverPool::AllExceptSource { source: s, .. } = &mut self.pool {
             *s = source;
         }
-        self.mean_dist = mean_dist.unwrap_or_else(|| mean_pool_distance(&self.sizer, &self.pool));
+        self.mean_dist = mean_pool_distance(&self.sizer, &self.pool);
         self.sources += 1;
     }
 
@@ -250,30 +239,6 @@ fn mean_pool_distance(sizer: &DeliverySizer, pool: &ReceiverPool) -> f64 {
     } else {
         total as f64 / reachable as f64
     }
-}
-
-/// `ū` for each of `nodes` via the bit-parallel kernel: one sweep per
-/// lane-width batch of sources instead of one O(pool) distance scan each.
-/// For the
-/// general-network pool (every node except the source) the scan sums hop
-/// distances over exactly the reachable non-source sites — the kernel's
-/// `Σ r·S(r)` over `reached − 1` — as exact integers, so every returned
-/// value is bit-identical to what [`SourceMeasurer::new`] would compute,
-/// including the `0.0` convention for sources that reach no site.
-pub fn batched_mean_distances(batch: &mut BatchBfs<'_>, nodes: &[NodeId]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(nodes.len());
-    for chunk in nodes.chunks(max_lanes()) {
-        batch.run_profiles(chunk);
-        for lane in 0..batch.lanes() {
-            let reached = batch.reached(lane);
-            out.push(if reached <= 1 {
-                0.0
-            } else {
-                batch.total_distance(lane) as f64 / (reached - 1) as f64
-            });
-        }
-    }
-    out
 }
 
 impl Drop for SourceMeasurer {
@@ -389,16 +354,13 @@ impl<'g> MeasureEngine<'g> {
 
     /// Measurer rooted at `source` (general-network receiver pool),
     /// running a BFS only if the engine is not already bound to it.
-    /// `mean_dist` is the source's `ū` when the caller has it from a
-    /// batched pre-sweep ([`batched_mean_distances`]), which skips the
-    /// per-source distance scan; caching behaviour is the same either way.
-    pub fn bind(&mut self, source: NodeId, mean_dist: Option<f64>) -> &mut SourceMeasurer {
+    pub fn bind(&mut self, source: NodeId) -> &mut SourceMeasurer {
         let hit = self.measurer.as_ref().is_some_and(|m| m.source() == source);
         if !hit {
             self.rebinds += 1;
             match &mut self.measurer {
-                Some(m) => m.reuse(&mut self.bfs, source, mean_dist),
-                None => self.measurer = Some(SourceMeasurer::new(self.graph, source, mean_dist)),
+                Some(m) => m.reuse(&mut self.bfs, source),
+                None => self.measurer = Some(SourceMeasurer::new(self.graph, source)),
             }
         }
         self.measurer.as_mut().expect("measurer bound")
@@ -416,21 +378,16 @@ impl<'g> MeasureEngine<'g> {
 /// one-measurer-per-index schedule produces, since each index keeps its
 /// own [`source_rng`] stream and degenerate samples are skipped
 /// deterministically (the RNG advances regardless).
-///
-/// `mean_dist` is the group's `ū` when a batched sweep
-/// ([`batched_mean_distances`]) has precomputed it; `None` falls back to
-/// the engine's own per-source scan. Results are bit-identical either way.
 pub fn measure_group(
     engine: &mut MeasureEngine<'_>,
     group: &SourceGroup,
     xs: &[usize],
     cfg: &MeasureConfig,
     kind: SampleKind,
-    mean_dist: Option<f64>,
 ) -> Vec<(usize, Vec<RunningStats>)> {
     let mut out = Vec::with_capacity(group.indices.len());
     for (k, &index) in group.indices.iter().enumerate() {
-        let measurer = engine.bind(group.node, mean_dist);
+        let measurer = engine.bind(group.node);
         if k > 0 {
             // Cache hit for a *different* source index: the paper drew
             // this node again, so it counts as another measured source.
@@ -470,7 +427,7 @@ fn sequential_curve(
     let mut per_index: Vec<Option<Vec<RunningStats>>> = vec![None; plan.total()];
     let mut engine = MeasureEngine::new(graph);
     for group in plan.groups() {
-        for (index, stats) in measure_group(&mut engine, group, xs, cfg, kind, None) {
+        for (index, stats) in measure_group(&mut engine, group, xs, cfg, kind) {
             per_index[index] = Some(stats);
         }
     }
@@ -517,7 +474,7 @@ mod tests {
     #[test]
     fn single_receiver_ratio_is_one() {
         let g = binary_tree(4);
-        let mut m = SourceMeasurer::new(&g, 0, None);
+        let mut m = SourceMeasurer::new(&g, 0);
         let mut rng = source_rng(1, 0);
         for _ in 0..50 {
             let r = m.ratio_sample(1, &mut rng);
@@ -528,7 +485,7 @@ mod tests {
     #[test]
     fn normalized_single_receiver_is_one_on_average() {
         let g = binary_tree(5);
-        let mut m = SourceMeasurer::new(&g, 0, None);
+        let mut m = SourceMeasurer::new(&g, 0);
         let mut rng = source_rng(2, 0);
         let mut stats = RunningStats::new();
         for _ in 0..4000 {
@@ -663,13 +620,13 @@ mod tests {
         let plan = SourcePlan::new(&g, &cfg);
         let mut engine = MeasureEngine::new(&g);
         for group in plan.groups() {
-            let _ = measure_group(&mut engine, group, &[2, 5], &cfg, SampleKind::Ratio, None);
+            let _ = measure_group(&mut engine, group, &[2, 5], &cfg, SampleKind::Ratio);
         }
         assert_eq!(engine.rebinds(), plan.distinct() as u64);
         // Re-binding the last node again is a cache hit.
         let last = plan.groups().last().unwrap().node;
         let before = engine.rebinds();
-        let _ = engine.bind(last, None);
+        let _ = engine.bind(last);
         assert_eq!(engine.rebinds(), before);
     }
 
@@ -689,7 +646,7 @@ mod tests {
             let mut per_index = Vec::with_capacity(cfg.sources);
             for index in 0..cfg.sources {
                 let source = pick_source(&g, cfg.seed, index);
-                let mut measurer = SourceMeasurer::new(&g, source, None);
+                let mut measurer = SourceMeasurer::new(&g, source);
                 let mut rng = source_rng(cfg.seed, index);
                 let mut per_x = Vec::with_capacity(xs.len());
                 for &x in &xs {
@@ -721,10 +678,10 @@ mod tests {
     fn reuse_matches_a_fresh_measurer() {
         let g = binary_tree(5);
         let mut bfs = Bfs::new(&g);
-        let mut reused = SourceMeasurer::new(&g, 0, None);
+        let mut reused = SourceMeasurer::new(&g, 0);
         for source in [9u32, 30, 0, 9] {
-            reused.reuse(&mut bfs, source, None);
-            let mut fresh = SourceMeasurer::new(&g, source, None);
+            reused.reuse(&mut bfs, source);
+            let mut fresh = SourceMeasurer::new(&g, source);
             assert_eq!(reused.source(), source);
             assert_eq!(
                 reused.mean_distance().to_bits(),
@@ -743,62 +700,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_means_match_the_scan_bitwise() {
-        // Includes a disconnected component and an isolated node so the
-        // reached <= 1 convention is exercised.
-        let mut edges: Vec<_> = (0..64u32).map(|i| (i, i + 1)).collect();
-        edges.push((66, 67));
-        edges.push((67, 68));
-        let g = from_edges(70, &edges);
-        let nodes: Vec<NodeId> = (0..70).collect();
-        let mut batch = BatchBfs::new(&g);
-        let means = batched_mean_distances(&mut batch, &nodes);
-        assert_eq!(means.len(), 70);
-        for (&v, &u) in nodes.iter().zip(&means) {
-            let fresh = SourceMeasurer::new(&g, v, None);
-            assert_eq!(fresh.mean_distance().to_bits(), u.to_bits(), "node {v}");
-        }
-    }
-
-    #[test]
-    fn precomputed_groups_match_the_scanning_engine_bitwise() {
-        let g = binary_tree(4);
-        let cfg = MeasureConfig {
-            sources: 20,
-            receiver_sets: 5,
-            seed: 37,
-        };
-        let plan = SourcePlan::new(&g, &cfg);
-        let nodes: Vec<NodeId> = plan.groups().iter().map(|gr| gr.node).collect();
-        let mut batch = BatchBfs::new(&g);
-        let means = batched_mean_distances(&mut batch, &nodes);
-        let xs = [2usize, 6];
-        for kind in [SampleKind::Ratio, SampleKind::NormalizedTree] {
-            let mut scan_engine = MeasureEngine::new(&g);
-            let mut pre_engine = MeasureEngine::new(&g);
-            for (gi, group) in plan.groups().iter().enumerate() {
-                let a = measure_group(&mut scan_engine, group, &xs, &cfg, kind, None);
-                let b = measure_group(&mut pre_engine, group, &xs, &cfg, kind, Some(means[gi]));
-                for ((ia, pa), (ib, pb)) in a.iter().zip(&b) {
-                    assert_eq!(ia, ib);
-                    for (sa, sb) in pa.iter().zip(pb) {
-                        assert_eq!(sa.count(), sb.count());
-                        assert_eq!(sa.mean().to_bits(), sb.mean().to_bits());
-                        assert_eq!(sa.variance().to_bits(), sb.variance().to_bits());
-                    }
-                }
-            }
-            assert_eq!(scan_engine.rebinds(), pre_engine.rebinds());
-        }
-    }
-
-    #[test]
     fn degenerate_samples_are_skipped_not_nan() {
         // Node 0 is isolated: every receiver is unreachable, unicast = 0,
         // ū = 0. The try-samplers must skip (the old path emitted NaN in
         // release builds), and the RNG must advance as if they hadn't.
         let g = from_edges(4, &[(1, 2), (2, 3)]);
-        let mut m = SourceMeasurer::new(&g, 0, None);
+        let mut m = SourceMeasurer::new(&g, 0);
         let mut rng = source_rng(23, 0);
         assert_eq!(m.try_ratio_sample(2, &mut rng), None);
         assert_eq!(m.try_normalized_tree_sample(2, &mut rng), None);
@@ -827,7 +734,7 @@ mod tests {
     #[should_panic(expected = "no sampled receiver is reachable")]
     fn ratio_sample_panics_deterministically_when_degenerate() {
         let g = from_edges(3, &[(1, 2)]);
-        let mut m = SourceMeasurer::new(&g, 0, None);
+        let mut m = SourceMeasurer::new(&g, 0);
         let mut rng = source_rng(29, 0);
         let _ = m.ratio_sample(1, &mut rng);
     }

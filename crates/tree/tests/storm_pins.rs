@@ -5,7 +5,10 @@
 //! graph. Every `StormOutcome` field is compared with recorded values:
 //! the counts exactly, the means and each sample's time as `to_bits()`.
 //! Any change to the calendar order or to a skeleton's parents moves one
-//! of them; re-pin only with a documented reason.
+//! of them; re-pin only with a documented reason. The flash run's one
+//! skeleton sweep is the only workload caller of the BFS kernel's
+//! distance-recording `run`, so it is also replayed in every kernel
+//! direction and at every lane cap.
 
 use mcast_gen::random::gnp_connected;
 use mcast_topology::Graph;
@@ -15,6 +18,14 @@ use mcast_tree::storm::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises the tests that must see the kernel's default direction and
+/// lane width against the one that overrides those process globals.
+fn kernel_mode_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn graph() -> Graph {
     gnp_connected(300, 0.012, &mut StdRng::seed_from_u64(20)).expect("valid G(n, p) parameters")
@@ -119,13 +130,15 @@ fn assert_pinned(out: &StormOutcome, counts: Counts, means: [u64; 3], samples: &
     assert_eq!(got_samples, samples, "samples");
 }
 
-#[test]
-fn flash_outcome_is_pinned() {
-    let out = simulate_flash(&graph(), 0, &flash_cfg()).expect("consistent calendar");
+/// The flash run's pins; `skeletons` is `(batch_sweeps,
+/// trees_built_batch, trees_built_scalar)`, the only counts the lane cap
+/// may move.
+fn assert_flash_pinned(out: &StormOutcome, skeletons: [u64; 3]) {
+    let [sweeps, batch, scalar] = skeletons;
     assert_pinned(
-        &out,
+        out,
         [
-            2400, 960, 960, 240, 240, 0, 3400, 3400, 240, 741, 2670, 1, 167, 0,
+            2400, 960, 960, 240, 240, 0, 3400, 3400, 240, 741, 2670, sweeps, batch, scalar,
         ],
         [0x4049be72de6d28fd, 0x40558005b74ed8af, 0x4074d83e92e6537b],
         &[
@@ -140,6 +153,45 @@ fn flash_outcome_is_pinned() {
             (0x402901651289bf60, 71, 79, 325, 960),
         ],
     );
+}
+
+#[test]
+fn flash_outcome_is_pinned() {
+    let _mode = kernel_mode_lock();
+    let out = simulate_flash(&graph(), 0, &flash_cfg()).expect("consistent calendar");
+    assert_flash_pinned(&out, [1, 167, 0]);
+}
+
+#[test]
+fn flash_outcome_is_pinned_in_every_kernel_mode() {
+    // The 167 sources of the burst tick go through one batched `run`
+    // sweep; its distances, and so every skeleton's lowest-id parents,
+    // must not depend on the traversal direction or the lane cap. A
+    // 64-lane cap splits the tick into two full sweeps and leaves the
+    // 39-source tail, below the batch threshold, to the scalar path.
+    use mcast_topology::batch::{set_direction_override, set_lane_limit, DirectionOverride};
+    let _mode = kernel_mode_lock();
+    let g = graph();
+    for dir in [
+        DirectionOverride::Push,
+        DirectionOverride::Pull,
+        DirectionOverride::Auto,
+    ] {
+        set_direction_override(Some(dir));
+        let out = simulate_flash(&g, 0, &flash_cfg());
+        set_direction_override(None);
+        assert_flash_pinned(&out.expect("consistent calendar"), [1, 167, 0]);
+    }
+    for (width, skeletons) in [
+        (64usize, [2, 128, 39]),
+        (256, [1, 167, 0]),
+        (512, [1, 167, 0]),
+    ] {
+        set_lane_limit(Some(width));
+        let out = simulate_flash(&g, 0, &flash_cfg());
+        set_lane_limit(None);
+        assert_flash_pinned(&out.expect("consistent calendar"), skeletons);
+    }
 }
 
 #[test]

@@ -47,7 +47,7 @@ fn steady_state_sampling_performs_no_allocation() {
     // each buffer (BFS queue, sizer arrays, receiver buffer, Floyd dedup
     // set) to its high-water mark.
     for s in 0..graph.node_count() as u32 {
-        let m = engine.bind(s, None);
+        let m = engine.bind(s);
         let mut rng = mcast_tree::measure::source_rng(cfg.seed, s as usize);
         let _ = m.try_ratio_sample(16, &mut rng);
         let _ = m.try_normalized_tree_sample(16, &mut rng);
@@ -59,7 +59,7 @@ fn steady_state_sampling_performs_no_allocation() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for round in 0..5u64 {
         for s in 0..graph.node_count() as u32 {
-            let m = engine.bind(s, None);
+            let m = engine.bind(s);
             let mut rng = mcast_tree::measure::source_rng(cfg.seed ^ round, s as usize);
             for &x in &xs {
                 for _ in 0..cfg.receiver_sets {
@@ -87,12 +87,12 @@ fn steady_state_sampling_performs_no_allocation() {
     let plan = SourcePlan::new(&graph, &cfg);
     let mut engine = MeasureEngine::new(&graph);
     for group in plan.groups() {
-        let _ = measure_group(&mut engine, group, &xs, &cfg, SampleKind::Ratio, None);
+        let _ = measure_group(&mut engine, group, &xs, &cfg, SampleKind::Ratio);
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let mut engine2 = MeasureEngine::new(&graph);
     for group in plan.groups() {
-        let _ = measure_group(&mut engine2, group, &xs, &cfg, SampleKind::Ratio, None);
+        let _ = measure_group(&mut engine2, group, &xs, &cfg, SampleKind::Ratio);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     let samples = (cfg.sources * xs.len() * cfg.receiver_sets) as u64;
